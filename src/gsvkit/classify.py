@@ -18,15 +18,25 @@ error is possible, HNK without NK+ means polynomial error, and failing
 HNK means no extraction at all.  Every decision here is exact (rational
 arithmetic throughout) and, where the answer is positive, constructive:
 the returned witness or certificate can be re-verified independently.
+
+HNK is decided over support unions, not over die subsets.  For a union
+U of die supports, let D(U) be every die whose support lies inside U.
+HNK fails iff for some U the pmf rows of D(U), restricted to U, have
+full column rank: enlarging a failing subset to D(U) keeps its union
+and cannot lower the rank.  So the decision costs one rank test per
+distinct union, at most min(2^|F|, 2^|D|) - 1 of them, and the die
+subsets are walked only to name the certificate once HNK is known to
+fail.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 from . import linalg
 from .errors import EpsilonTooLargeError, NotHnkError, SubsetLimitError
@@ -37,6 +47,7 @@ from .model import (
     die_mean,
     die_var,
     rat,
+    rat_str,
     support,
 )
 
@@ -57,7 +68,7 @@ __all__ = [
     "mvr_witness",
 ]
 
-SUBSET_GUARD = 24  # check_hnk enumerates 2^|D| subsets; refuse beyond this
+SUBSET_GUARD = 24  # check_hnk may enumerate 2^|D| subsets; refuse beyond this
 
 
 @dataclass(frozen=True)
@@ -123,10 +134,13 @@ def _normalized(values) -> tuple[Fraction, ...]:
 
 def check_nk(spec: SourceSpec) -> tuple[bool, Witness | None]:
     """NK holds iff the kernel is nonzero; the witness is a basis vector."""
-    kb = kernel_basis(spec)
-    if not kb.basis:
+    return _nk(kernel_basis(spec).basis)
+
+
+def _nk(basis) -> tuple[bool, Witness | None]:
+    if not basis:
         return False, None
-    return True, Witness(_normalized(kb.basis[0]), WitnessKind.NK)
+    return True, Witness(_normalized(basis[0]), WitnessKind.NK)
 
 
 def _nonconstant_on(vec, faces: frozenset[int]) -> bool:
@@ -166,10 +180,13 @@ def check_nk_plus(spec: SourceSpec) -> tuple[bool, Witness | None]:
     """NK+ holds iff every die sees a non-constant kernel direction on its
     support; the returned witness has exact zero mean and positive
     variance under every die, with the minimum variance recorded."""
-    kb = kernel_basis(spec)
-    if not kb.basis:
+    return _nk_plus(spec, kernel_basis(spec).basis)
+
+
+def _nk_plus(spec: SourceSpec, basis) -> tuple[bool, Witness | None]:
+    if not basis:
         return False, None
-    combo = _combine_positive_variance(spec, list(range(spec.num_dice)), kb.basis)
+    combo = _combine_positive_variance(spec, list(range(spec.num_dice)), basis)
     if combo is None:
         return False, None
     v = min(die_var(d, combo) for d in spec.dice)
@@ -181,21 +198,53 @@ def _restricted_kernel(spec: SourceSpec, dice_idx, faces) -> list[tuple[Fraction
     return linalg.nullspace(rows, len(faces))
 
 
-def check_hnk(spec: SourceSpec) -> tuple[bool, HnkCertificate | None]:
-    """HNK via explicit subset enumeration, smallest subsets first.
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(f for f in range(mask.bit_length()) if mask >> f & 1)
 
-    Returns the first failing subset (by size, then lexicographically) as
-    a certificate, with the faces it supports.
+
+def check_hnk(spec: SourceSpec) -> tuple[bool, HnkCertificate | None]:
+    """HNK via the closure of die-support unions.
+
+    HNK fails iff some union U of die supports has this property: the
+    pmf rows of D(U), every die whose support lies inside U, restricted
+    to the faces of U, have full column rank.  Enlarging a die subset to
+    D(U) keeps its union and cannot lower the rank, so one rank test per
+    distinct union decides HNK.
+
+    When HNK fails, the certificate is the first failing subset by size,
+    then lexicographically, with the faces it supports.  A failing
+    subset S lies inside D(U(S)), has U(S) failing and |S| >= |U(S)|, so
+    the walk visits only such subsets of the failing unions' dice.
     """
     ndice = spec.num_dice
     if ndice > SUBSET_GUARD:
         raise SubsetLimitError(f"{ndice} dice exceed the {SUBSET_GUARD}-die subset guard")
-    for size in range(1, ndice + 1):
-        for subset in combinations(range(ndice), size):
-            faces = sorted(set().union(*(support(spec.dice[d]) for d in subset)))
-            if not _restricted_kernel(spec, subset, faces):
-                return False, HnkCertificate(tuple(subset), tuple(faces))
-    return True, None
+    masks = [sum(1 << f for f in support(die)) for die in spec.dice]
+    unions: set[int] = set()
+    for m in masks:
+        unions |= {m | u for u in unions}
+        unions.add(m)
+    inside = {u: tuple(d for d, m in enumerate(masks) if m & ~u == 0) for u in unions}
+    failing = [
+        u for u in unions
+        if len(inside[u]) >= u.bit_count() and not _restricted_kernel(spec, inside[u], _bits(u))
+    ]
+    if not failing:
+        return True, None
+    # max(1, ...): a die with no positive entry has the empty union
+    for size in range(max(1, min(u.bit_count() for u in failing)), ndice + 1):
+        pools = [
+            zip(combinations(inside[u], size), repeat(u))
+            for u in failing
+            if u.bit_count() <= size
+        ]
+        for subset, u in heapq.merge(*pools):
+            mask = 0
+            for d in subset:
+                mask |= masks[d]
+            if mask == u and not _restricted_kernel(spec, subset, _bits(u)):
+                return False, HnkCertificate(subset, _bits(u))
+    raise AssertionError("D(U) of a failing union U is itself a failing subset")
 
 
 def check_mvr(spec: SourceSpec, psi, epsilon) -> bool:
@@ -294,15 +343,22 @@ def dual_certificate(spec: SourceSpec) -> DualCertificate | None:
     expresses the indicator difference in the span of the pmf rows.  The
     reported pair maximizes sum |beta|; ``constant`` is that sum squared.
     """
-    plus, _w = check_nk_plus(spec)
-    if plus:
-        return None
-    basis = kernel_basis(spec).basis
+    return _dual_certificate(spec, kernel_basis(spec).basis)
+
+
+def _dual_certificate(spec: SourceSpec, basis) -> DualCertificate | None:
+    # NK+ holds exactly when every die sees a non-constant kernel
+    # direction: _combine_positive_variance then always finds a witness
     die_index = next(
-        d
-        for d in range(spec.num_dice)
-        if not any(_nonconstant_on(b, support(spec.dice[d])) for b in basis)
+        (
+            d
+            for d in range(spec.num_dice)
+            if not any(_nonconstant_on(b, support(spec.dice[d])) for b in basis)
+        ),
+        None,
     )
+    if die_index is None:
+        return None
     supp = sorted(support(spec.dice[die_index]))
     # columns are the dice pmfs; unknowns are the beta coefficients
     mat = [[spec.dice[d].probs[f] for d in range(spec.num_dice)] for f in range(spec.num_faces)]
@@ -336,9 +392,6 @@ class ClassificationReport:
     category: Category
 
     def to_jsonable(self) -> dict:
-        def frac(x):
-            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
         doc: dict = {
             "category": self.category.value,
             "nk": {"holds": self.nk},
@@ -359,8 +412,8 @@ class ClassificationReport:
                 "die": self.dual.die,
                 "f_star": self.dual.f_star,
                 "f_low": self.dual.f_low,
-                "beta": [frac(b) for b in self.dual.beta],
-                "constant": frac(self.dual.constant),
+                "beta": [rat_str(b) for b in self.dual.beta],
+                "constant": rat_str(self.dual.constant),
             }
         return doc
 
@@ -370,10 +423,11 @@ class ClassificationReport:
 
 def classify(spec: SourceSpec) -> ClassificationReport:
     """Full classification: condition flags, witnesses, and the category."""
-    nk, nk_w = check_nk(spec)
-    plus, plus_w = check_nk_plus(spec)
+    basis = kernel_basis(spec).basis
+    nk, nk_w = _nk(basis)
+    plus, plus_w = _nk_plus(spec, basis)
     hnk, hnk_cert = check_hnk(spec)
-    dual = None if plus else dual_certificate(spec)
+    dual = None if plus else _dual_certificate(spec, basis)
     if plus:
         category = Category.EXP_ERROR
     elif hnk:

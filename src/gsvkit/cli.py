@@ -27,13 +27,12 @@ import json
 import statistics
 import sys
 import time
-from fractions import Fraction
 
 from . import extractors as ex
 from .classify import Category, classify, mvr_witness
 from .errors import GsvError, GuardError, SpecFormatError
 from .fastmultibit import FastMultibitState, multibit_extract_fast
-from .model import SourceSpec, Strategy, Witness, rat, sample_sequence, validate_source
+from .model import SourceSpec, Strategy, Witness, rat, rat_str, sample_sequence, validate_source
 from .oracle import ExtractorTable, exact_extremes
 from .presets import load_source
 
@@ -41,10 +40,6 @@ EXIT_PARSE = 64
 EXIT_GUARD = 65
 
 EXTRACTOR_NAMES = ("threshold", "bit-exp", "multibit-naive", "multibit-fast")
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -123,25 +118,25 @@ def _run_with_transcript(name: str, psi: Witness, epsilon, faces, m: int):
         state = ex.ThresholdState.initial(ex.threshold_bound_m(epsilon))
         for i, face in enumerate(faces, start=1):
             state = ex.threshold_step(state, values[face])
-            rows.append((i, face, _frac_str(values[face]), _frac_str(state.z)))
+            rows.append((i, face, rat_str(values[face]), rat_str(state.z)))
         return ("1" if state.z >= 0 else "0"), rows
     if name == "bit-exp":
         state = ex.BitExpState()
         for i, face in enumerate(faces, start=1):
             state = ex.bit_exp_step(state, values[face])
-            rows.append((i, face, _frac_str(values[face]), _frac_str(state.z)))
+            rows.append((i, face, rat_str(values[face]), rat_str(state.z)))
         return ("1" if state.z >= 0 else "0"), rows
     if name == "multibit-naive":
         state = ex.MultiBitState.initial(m)
         for i, face in enumerate(faces, start=1):
             state = ex.multibit_step_naive(state, values[face])
-            rows.append((i, face, _frac_str(values[face]), _frac_str(state.z[state.order[-1]])))
+            rows.append((i, face, rat_str(values[face]), rat_str(state.z[state.order[-1]])))
         return ex.encode_index(state.winner(), m), rows
     if name == "multibit-fast":
         state = FastMultibitState(m)
         for i, face in enumerate(faces, start=1):
             state.advance(values[face])
-            rows.append((i, face, _frac_str(values[face]), _frac_str(state.top_value())))
+            rows.append((i, face, rat_str(values[face]), rat_str(state.top_value())))
         return ex.encode_index(state.winner(), m), rows
     raise SpecFormatError(f"unknown extractor {name!r}; pick from {EXTRACTOR_NAMES}")
 
@@ -220,14 +215,14 @@ def cmd_bias(args) -> int:
                     )
                 if table.output_kind != "pm1":
                     raise SpecFormatError("bias sweeps need a single-bit extractor")
-                rows.append((n, _frac_str(exact_extremes(spec, table).bias)))
+                rows.append((n, rat_str(exact_extremes(spec, table).bias)))
         else:
             with open(args.extractor, encoding="utf-8") as fh:
                 doc = json.load(fh)
             table = ExtractorTable.from_outputs(
                 int(doc["n"]), spec.num_faces, [int(x) for x in doc["outputs"]]
             )
-            rows.append((table.n, _frac_str(exact_extremes(spec, table).bias)))
+            rows.append((table.n, rat_str(exact_extremes(spec, table).bias)))
     except GuardError as exc:
         print(exc, file=sys.stderr)
         return EXIT_GUARD

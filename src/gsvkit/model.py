@@ -38,6 +38,7 @@ __all__ = [
     "die_mean",
     "die_var",
     "rat",
+    "rat_str",
     "sample_sequence",
     "support",
     "validate_source",
@@ -67,7 +68,8 @@ def rat(value) -> Fraction:
     raise SpecFormatError(f"cannot build a rational from {type(value).__name__}")
 
 
-def _rat_str(x: Fraction) -> str:
+def rat_str(x: Fraction) -> str:
+    """Exact text of a rational: "p/q", or "p" for an integer; ``rat`` reads it back."""
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -121,7 +123,7 @@ class SourceSpec:
     def to_json(self) -> str:
         doc = {
             "faces": list(self.face_labels),
-            "dice": [[_rat_str(p) for p in d.probs] for d in self.dice],
+            "dice": [[rat_str(p) for p in d.probs] for d in self.dice],
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -184,13 +186,13 @@ class Witness:
 
     def to_jsonable(self) -> dict:
         doc: dict = {
-            "values": [_rat_str(v) for v in self.values],
+            "values": [rat_str(v) for v in self.values],
             "kind": self.kind.value,
         }
         if self.epsilon is not None:
-            doc["epsilon"] = _rat_str(self.epsilon)
+            doc["epsilon"] = rat_str(self.epsilon)
         if self.min_variance is not None:
-            doc["min_variance"] = _rat_str(self.min_variance)
+            doc["min_variance"] = rat_str(self.min_variance)
         return doc
 
 

@@ -45,7 +45,7 @@ from .extractors import (
     threshold_step,
 )
 from .fastmultibit import multibit_extract_fast
-from .model import SourceSpec, Strategy, Witness, rat
+from .model import SourceSpec, Strategy, Witness, rat, rat_str
 
 __all__ = [
     "BiasReport",
@@ -168,13 +168,10 @@ class BiasReport:
     min_tree: dict
 
     def to_jsonable(self) -> dict:
-        def frac(x):
-            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
         return {
-            "max_expectation": frac(self.max_expectation),
-            "min_expectation": frac(self.min_expectation),
-            "bias": frac(self.bias),
+            "max_expectation": rat_str(self.max_expectation),
+            "min_expectation": rat_str(self.min_expectation),
+            "bias": rat_str(self.bias),
             "max_strategy": self.max_tree,
             "min_strategy": self.min_tree,
         }

@@ -1,6 +1,7 @@
 """Classifier: kernels, the three conditions, witnesses, certificates."""
 
 from fractions import Fraction as F
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gsvkit import (
     Category,
     EpsilonTooLargeError,
+    HnkCertificate,
     NotHnkError,
     SourceSpec,
     SubsetLimitError,
@@ -25,9 +27,9 @@ from gsvkit import (
     support,
 )
 from gsvkit import linalg
-from gsvkit.presets import e1, e2, fair_coin, hidden_sv, sv_pair
+from gsvkit.presets import PRESETS, e1, e2, fair_coin, hidden_sv, sv_pair
 
-from specgen import random_spec, random_zero_mean_spec
+from specgen import random_hierarchical_spec, random_spec, random_zero_mean_spec
 
 SV = sv_pair("1/4")
 
@@ -126,6 +128,52 @@ def test_hnk_e2_and_small_sources():
     assert check_hnk(e2()) == (True, None)
     assert check_hnk(fair_coin()) == (True, None)
     assert check_hnk(hidden_sv())[0] is False
+
+
+def _hnk_by_subsets(spec):
+    """Reference: every die subset, smallest first, then lexicographically."""
+    for size in range(1, spec.num_dice + 1):
+        for subset in combinations(range(spec.num_dice), size):
+            faces = tuple(sorted(set().union(*(support(spec.dice[d]) for d in subset))))
+            rows = [[spec.dice[d].probs[f] for f in faces] for d in subset]
+            if not linalg.nullspace(rows, len(faces)):
+                return False, HnkCertificate(subset, faces)
+    return True, None
+
+
+def test_hnk_matches_subset_enumeration():
+    rng = Random(41)
+    specs = [make() for make in PRESETS.values()] + [SV, sv_pair(0), sv_pair("1/2")]
+    for i in range(330):
+        kind = i % 3
+        if kind == 0:
+            specs.append(random_spec(rng, rng.randint(1, 6), rng.randint(1, 7)))
+        elif kind == 1:
+            specs.append(random_zero_mean_spec(rng, rng.randint(2, 6), rng.randint(1, 7))[0])
+        else:
+            specs.append(random_hierarchical_spec(rng))
+    outcomes = set()
+    for spec in specs:
+        got = check_hnk(spec)
+        assert got == _hnk_by_subsets(spec)
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_hnk_cost_is_bounded_by_support_unions(monkeypatch):
+    # 3 faces give at most 7 support unions, so at most 7 rank tests,
+    # where a walk over die subsets would make 2^20 - 1
+    spec, _psi = random_zero_mean_spec(Random(43), 3, 20)
+    calls = []
+    nullspace = linalg.nullspace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return nullspace(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "nullspace", counting)
+    assert check_hnk(spec) == (True, None)
+    assert 0 < len(calls) <= 7
 
 
 def test_hnk_subset_guard():
