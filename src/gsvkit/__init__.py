@@ -23,6 +23,7 @@ from .classify import (
 )
 from .errors import (
     DimensionError,
+    EmptySupportError,
     EnumLimitError,
     EpsilonTooLargeError,
     GsvError,

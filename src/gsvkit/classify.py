@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations, product, repeat
 
 from . import linalg
-from .errors import EpsilonTooLargeError, NotHnkError, SubsetLimitError
+from .errors import EmptySupportError, EpsilonTooLargeError, NotHnkError, SubsetLimitError
 from .model import (
     SourceSpec,
     Witness,
@@ -360,6 +360,8 @@ def _dual_certificate(spec: SourceSpec, basis) -> DualCertificate | None:
     if die_index is None:
         return None
     supp = sorted(support(spec.dice[die_index]))
+    if not supp:
+        raise EmptySupportError(f"die {die_index} has no face with positive probability")
     # columns are the dice pmfs; unknowns are the beta coefficients
     mat = [[spec.dice[d].probs[f] for d in range(spec.num_dice)] for f in range(spec.num_faces)]
     best = None

@@ -22,6 +22,11 @@ class SpecFormatError(GsvError):
     """A source / strategy / extractor document could not be parsed."""
 
 
+class EmptySupportError(GsvError):
+    """A die gives no face positive probability (only an unvalidated
+    source can hold one), so no certificate can be built on its support."""
+
+
 class GuardError(GsvError):
     """A cost guard would be exceeded; carries the guard's name."""
 

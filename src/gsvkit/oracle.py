@@ -4,9 +4,9 @@ The oracle answers, in exact rational arithmetic, the question every
 error bound quantifies over: across *all* adaptive die-picking
 strategies, how biased can a given extractor's output get?
 
-* :func:`exact_extremes` — backward induction over the full depth-n game
-  tree, yielding the exact max/min expectation of a +/-1 extractor and
-  the strategies achieving them.
+* :func:`exact_extremes` — backward induction over the depth-n game,
+  yielding the exact max/min expectation of a +/-1 extractor and the
+  strategies achieving them.
 * :func:`output_distribution` — exact forward distribution of the
   extractor output under a fixed strategy.
 * :func:`exact_multibit_error` — worst-case total-variation distance
@@ -18,6 +18,14 @@ strategies, how biased can a given extractor's output get?
   failure of the mean-variance ratio condition into extractor bias: at
   each node it picks a die whose mean gain on the conditional advantage
   beats epsilon times its variance.
+
+A node's value depends only on its depth and the extractor state there,
+so for tables with a stepper :func:`exact_extremes` and
+:func:`greedy_plus_strategy` run the induction once per distinct (depth,
+state) pair rather than once per history.  Their strategy trees share the
+subtrees of equal pairs: they are read-only DAGs that expand to the full
+|F|^n trees only when walked or serialised, which gives the same bytes.
+Tables without a stepper are keyed on the history.
 
 Everything is deterministic: die ties resolve to the smallest index.
 """
@@ -79,7 +87,8 @@ class ExtractorTable:
     never materialize their |F|^n output table.  Extractors that are
     state machines additionally expose (init, step, finish); tree walks
     thread that state down shared prefixes, which changes nothing about
-    the outputs but avoids refolding every leaf from scratch.
+    the outputs but avoids refolding every leaf from scratch.  States
+    must be hashable: the backward inductions memoise on them.
     """
 
     n: int
@@ -186,6 +195,29 @@ def _check_tree_guard(spec: SourceSpec, n: int, guard: int | None) -> None:
         raise TreeLimitError(f"|F|^n = {spec.num_faces}^{n} exceeds the guard {limit}")
 
 
+def _node_key(ext: ExtractorTable) -> Callable[[tuple[int, ...], object], object]:
+    """The memo key of a game-tree node.
+
+    A node's value depends only on its depth and the extractor state
+    there, so tables with a stepper key on (depth, state) and equal
+    states share one backward induction.  Tables without a stepper have
+    nothing but the history to go on.
+    """
+    if ext.step is not None:
+        return lambda history, state: (len(history), state)
+    return lambda history, _state: history
+
+
+def _leaf_output(ext: ExtractorTable, history: tuple[int, ...], state) -> int:
+    return ext.finish(state) if ext.step is not None else ext.value(history)
+
+
+def _child_states(ext: ExtractorTable, state, nfaces: int) -> list:
+    if ext.step is None:
+        return [None] * nfaces
+    return [ext.step(state, f) for f in range(nfaces)]
+
+
 def exact_extremes(spec: SourceSpec, ext: ExtractorTable, guard: int | None = None) -> BiasReport:
     """Exact max/min of E[Ext] over every adaptive strategy.
 
@@ -193,37 +225,49 @@ def exact_extremes(spec: SourceSpec, ext: ExtractorTable, guard: int | None = No
     node is worth the best (resp. worst) die expectation over its
     children.  Ties pick the smallest die index, so the recorded strategy
     trees are canonical.
+
+    With a stepper the induction runs once per distinct (depth, state)
+    pair, and nodes with equal pairs return the same subtree objects: the
+    strategy trees are DAGs that expand to the full |F|^n trees only when
+    they are walked or serialised.  Treat them as read-only.
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("exact_extremes needs a +/-1 extractor")
     _check_tree_guard(spec, ext.n, guard)
     labels = spec.face_labels
     nfaces = spec.num_faces
-    streamed = ext.step is not None
+    key = _node_key(ext)
+    memo: dict = {}
 
-    def walk(history: tuple[int, ...], state=ext.init):
+    def walk(history: tuple[int, ...], state):
+        node = key(history, state)
+        got = memo.get(node)
+        if got is not None:
+            return got
         if len(history) == ext.n:
-            out = ext.finish(state) if streamed else ext.value(history)
-            leaf = Fraction(out)
-            return leaf, leaf, {}, {}
-        kids = [
-            walk(history + (f,), ext.step(state, f) if streamed else None)
-            for f in range(nfaces)
-        ]
-        best_hi = best_lo = None
-        die_hi = die_lo = 0
-        for i, die in enumerate(spec.dice):
-            hi = sum((p * k[0] for p, k in zip(die.probs, kids)), Fraction(0))
-            lo = sum((p * k[1] for p, k in zip(die.probs, kids)), Fraction(0))
-            if best_hi is None or hi > best_hi:
-                best_hi, die_hi = hi, i
-            if best_lo is None or lo < best_lo:
-                best_lo, die_lo = lo, i
-        hi_tree = {"die": die_hi, "children": {labels[f]: kids[f][2] for f in range(nfaces)}}
-        lo_tree = {"die": die_lo, "children": {labels[f]: kids[f][3] for f in range(nfaces)}}
-        return best_hi, best_lo, hi_tree, lo_tree
+            leaf = Fraction(_leaf_output(ext, history, state))
+            got = leaf, leaf, {}, {}
+        else:
+            kids = [
+                walk(history + (f,), child)
+                for f, child in enumerate(_child_states(ext, state, nfaces))
+            ]
+            best_hi = best_lo = None
+            die_hi = die_lo = 0
+            for i, die in enumerate(spec.dice):
+                hi = sum((p * k[0] for p, k in zip(die.probs, kids)), Fraction(0))
+                lo = sum((p * k[1] for p, k in zip(die.probs, kids)), Fraction(0))
+                if best_hi is None or hi > best_hi:
+                    best_hi, die_hi = hi, i
+                if best_lo is None or lo < best_lo:
+                    best_lo, die_lo = lo, i
+            hi_tree = {"die": die_hi, "children": {labels[f]: kids[f][2] for f in range(nfaces)}}
+            lo_tree = {"die": die_lo, "children": {labels[f]: kids[f][3] for f in range(nfaces)}}
+            got = best_hi, best_lo, hi_tree, lo_tree
+        memo[node] = got
+        return got
 
-    hi, lo, hi_tree, lo_tree = walk(())
+    hi, lo, hi_tree, lo_tree = walk((), ext.init)
     return BiasReport(
         max_expectation=hi,
         min_expectation=lo,
@@ -249,7 +293,7 @@ def output_distribution(
 
     def walk(history: tuple[int, ...], prob: Fraction, state=ext.init) -> None:
         if len(history) == ext.n:
-            out = ext.finish(state) if streamed else ext.value(history)
+            out = _leaf_output(ext, history, state)
             dist[out] = dist.get(out, Fraction(0)) + prob
             return
         die = spec.dice[strategy.choose(history)]
@@ -333,6 +377,12 @@ def greedy_plus_strategy(
     precondition was violated and NoQualifyingDieError is raised.  The
     strategy's exact advantage then exceeds the guaranteed value by at
     least (eps/(1+eps)) * alpha * (1 - alpha).
+
+    Both the guaranteed values and the tree are computed once per
+    distinct (depth, state) pair when the table has a stepper; the
+    returned strategy's tree shares those subtrees and is read-only.  The
+    walk is depth-first in history order, so an error names the first
+    failing history, as a walk over every history would.
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("greedy_plus_strategy needs a +/-1 extractor")
@@ -341,37 +391,43 @@ def greedy_plus_strategy(
     labels = spec.face_labels
     nfaces = spec.num_faces
 
-    memo: dict[tuple[int, ...], Fraction] = {}
+    key = _node_key(ext)
+    # node key -> (guaranteed advantage, child states)
+    adv: dict = {}
 
-    def min_adv(history: tuple[int, ...]) -> Fraction:
-        got = memo.get(history)
-        if got is not None:
-            return got
-        if len(history) == ext.n:
-            out = Fraction(1) if ext.value(history) == 1 else Fraction(0)
-        else:
-            kids = [min_adv(history + (f,)) for f in range(nfaces)]
-            out = min(
-                sum((p * k for p, k in zip(die.probs, kids)), Fraction(0))
-                for die in spec.dice
-            )
-        memo[history] = out
-        return out
+    def min_adv(history: tuple[int, ...], state) -> Fraction:
+        node = key(history, state)
+        got = adv.get(node)
+        if got is None:
+            if len(history) == ext.n:
+                out = Fraction(1) if _leaf_output(ext, history, state) == 1 else Fraction(0)
+                got = out, ()
+            else:
+                children = _child_states(ext, state, nfaces)
+                kids = [min_adv(history + (f,), child) for f, child in enumerate(children)]
+                out = min(
+                    sum((p * a for p, a in zip(die.probs, kids)), Fraction(0))
+                    for die in spec.dice
+                )
+                got = out, children
+            adv[node] = got
+        return got[0]
 
-    def build(history: tuple[int, ...]) -> dict:
+    built: dict = {}
+
+    def build(history: tuple[int, ...], state) -> dict:
         if len(history) == ext.n:
             return {}
-        alphas = [min_adv(history + (f,)) for f in range(nfaces)]
-        alpha = min(
-            sum((p * a for p, a in zip(die.probs, alphas)), Fraction(0))
-            for die in spec.dice
-        )
+        node = key(history, state)
+        got = built.get(node)
+        if got is not None:
+            return got
+        alpha, children = adv[node]
+        alphas = [adv[key(history + (f,), child)][0] for f, child in enumerate(children)]
         chosen = None
         for i, die in enumerate(spec.dice):
-            mean_gap = sum(
-                (p * (a - alpha) for p, a in zip(die.probs, alphas)), Fraction(0)
-            )
             mean = sum((p * a for p, a in zip(die.probs, alphas)), Fraction(0))
+            mean_gap = mean - alpha * sum(die.probs)
             second = sum((p * a * a for p, a in zip(die.probs, alphas)), Fraction(0))
             var = second - mean * mean
             if mean_gap >= eps * var:
@@ -381,12 +437,17 @@ def greedy_plus_strategy(
             raise NoQualifyingDieError(
                 f"no die satisfies the gain inequality at history {history}"
             )
-        return {
+        got = {
             "die": chosen,
-            "children": {labels[f]: build(history + (f,)) for f in range(nfaces)},
+            "children": {
+                labels[f]: build(history + (f,), child) for f, child in enumerate(children)
+            },
         }
+        built[node] = got
+        return got
 
-    tree = build(())
+    min_adv((), ext.init)
+    tree = build((), ext.init)
     strategy = Strategy.from_tree(tree, labels)
     strategy.description = "greedy-plus"
     return strategy

@@ -8,6 +8,7 @@ import pytest
 
 from gsvkit import (
     Category,
+    EmptySupportError,
     EpsilonTooLargeError,
     HnkCertificate,
     NotHnkError,
@@ -282,6 +283,15 @@ def test_dual_identity_on_random_failing_specs():
             lhs = indicator[cert.f_star] - indicator[cert.f_low]
             rhs = sum(b * die_mean(d, indicator) for b, d in zip(cert.beta, spec.dice))
             assert lhs == rhs
+
+
+def test_dual_certificate_names_an_empty_die():
+    # unvalidated: die 1 gives no face positive probability, so it sees
+    # no kernel direction and has no face pair to certify
+    spec = SourceSpec(("a", "b"), [("1/2", "1/2"), ("0", "0")])
+    with pytest.raises(EmptySupportError, match="die 1 "):
+        dual_certificate(spec)
+
 
 
 # -- classification ---------------------------------------------------------

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, reproducibility, file outputs."""
 
 import json
-import os
 
 from gsvkit.cli import main
 
@@ -118,13 +117,10 @@ def test_bias_with_extractor_table_file(tmp_path):
     assert out.read_text().splitlines()[1] == "2,1"
 
 
-def test_bias_guard_exit(tmp_path):
-    os.environ["GSV_TREE_GUARD"] = "2"
-    try:
-        assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp",
-                   "--n", "4..6") == 65
-    finally:
-        del os.environ["GSV_TREE_GUARD"]
+def test_bias_guard_exit(monkeypatch):
+    monkeypatch.setenv("GSV_TREE_GUARD", "2")
+    assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp",
+               "--n", "4..6") == 65
 
 
 def test_bench_modes(tmp_path):

@@ -1,8 +1,10 @@
 """Adversary oracle: extremes, distributions, TV error, greedy adversary."""
 
-import os
+import dataclasses
+import json
 from fractions import Fraction as F
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -15,8 +17,10 @@ from gsvkit import (
     Witness,
     check_mvd,
     dual_certificate,
+    mvr_witness,
 )
 from gsvkit.oracle import (
+    BiasReport,
     ExtractorTable,
     exact_extremes,
     exact_multibit_error,
@@ -25,7 +29,9 @@ from gsvkit.oracle import (
     output_distribution,
     tree_guard,
 )
-from gsvkit.presets import e1, fair_coin, sv_pair
+from gsvkit.presets import e1, e2, fair_coin, sv_pair
+
+from specgen import random_hierarchical_spec, random_spec, random_zero_mean_spec
 
 SV = sv_pair("1/4")
 PM = Witness([1, -1], "NK_PLUS")
@@ -87,14 +93,135 @@ def test_tree_guard_raises():
         exact_extremes(SV, FIRST_BIT, guard=1)
 
 
-def test_tree_guard_env_override():
-    os.environ["GSV_TREE_GUARD"] = "3"
-    try:
-        assert tree_guard() == 3
-        with pytest.raises(TreeLimitError):
-            exact_extremes(SV, ExtractorTable.from_outputs(2, 2, [1, -1, -1, 1]))
-    finally:
-        del os.environ["GSV_TREE_GUARD"]
+def test_tree_guard_env_override(monkeypatch):
+    monkeypatch.setenv("GSV_TREE_GUARD", "3")
+    assert tree_guard() == 3
+    with pytest.raises(TreeLimitError):
+        exact_extremes(SV, ExtractorTable.from_outputs(2, 2, [1, -1, -1, 1]))
+
+
+# -- history-walk references ---------------------------------------------------
+#
+# The oracle memoises its backward induction on (depth, extractor state).
+# These references walk every history and fold every leaf through
+# ``ext.value``, as the unmemoised induction did; outputs must agree byte
+# for byte.
+
+
+def _extremes_by_history(spec, ext):
+    labels = spec.face_labels
+
+    def walk(history):
+        if len(history) == ext.n:
+            leaf = F(ext.value(history))
+            return leaf, leaf, {}, {}
+        kids = [walk(history + (f,)) for f in range(spec.num_faces)]
+        best_hi = best_lo = None
+        die_hi = die_lo = 0
+        for i, die in enumerate(spec.dice):
+            hi = sum((p * k[0] for p, k in zip(die.probs, kids)), F(0))
+            lo = sum((p * k[1] for p, k in zip(die.probs, kids)), F(0))
+            if best_hi is None or hi > best_hi:
+                best_hi, die_hi = hi, i
+            if best_lo is None or lo < best_lo:
+                best_lo, die_lo = lo, i
+        return (
+            best_hi,
+            best_lo,
+            {"die": die_hi, "children": {labels[f]: k[2] for f, k in enumerate(kids)}},
+            {"die": die_lo, "children": {labels[f]: k[3] for f, k in enumerate(kids)}},
+        )
+
+    hi, lo, hi_tree, lo_tree = walk(())
+    return BiasReport(
+        hi, lo, max(abs(hi), abs(lo)),
+        Strategy.from_tree(hi_tree, labels), Strategy.from_tree(lo_tree, labels),
+        hi_tree, lo_tree,
+    )
+
+
+def _greedy_tree_by_history(spec, ext, eps):
+    labels = spec.face_labels
+
+    def min_adv(history):
+        if len(history) == ext.n:
+            return F(1) if ext.value(history) == 1 else F(0)
+        kids = [min_adv(history + (f,)) for f in range(spec.num_faces)]
+        return min(sum((p * k for p, k in zip(d.probs, kids)), F(0)) for d in spec.dice)
+
+    def build(history):
+        if len(history) == ext.n:
+            return {}
+        alphas = [min_adv(history + (f,)) for f in range(spec.num_faces)]
+        alpha = min_adv(history)
+        for i, die in enumerate(spec.dice):
+            gap = sum((p * (a - alpha) for p, a in zip(die.probs, alphas)), F(0))
+            mean = sum((p * a for p, a in zip(die.probs, alphas)), F(0))
+            var = sum((p * a * a for p, a in zip(die.probs, alphas)), F(0)) - mean * mean
+            if gap >= eps * var:
+                children = {labels[f]: build(history + (f,)) for f in range(spec.num_faces)}
+                return {"die": i, "children": children}
+        raise NoQualifyingDieError(f"no die satisfies the gain inequality at history {history}")
+
+    return build(())
+
+
+def _seeded_oracle_cases():
+    rng = Random(41)
+    for k in range(18):
+        if k % 3 == 0:
+            spec, psi = random_zero_mean_spec(rng, rng.randint(2, 4), rng.randint(1, 3))
+        elif k % 3 == 1:
+            spec, psi = random_hierarchical_spec(rng), (1, F(-1, 2), F(1, 3), -1)
+        else:
+            spec = random_spec(rng, rng.randint(2, 3), rng.randint(2, 3))
+            psi = [rng.choice((1, -1, F(1, 2), F(-1, 3), 0)) for _ in range(spec.num_faces)]
+        wit = Witness(psi, "NK")
+        n = rng.randint(1, 5 if spec.num_faces < 4 else 4)
+        yield spec, ExtractorTable.for_threshold(wit, F(1, 9), n)
+        yield spec, ExtractorTable.for_bit_exp(wit, n)
+
+
+def test_memoised_oracle_matches_history_walk():
+    outcomes = set()
+    for spec, table in _seeded_oracle_cases():
+        assert exact_extremes(spec, table).to_json() == _extremes_by_history(spec, table).to_json()
+        for eps in (F(1, 8), F(1, 2)):
+            try:
+                want = json.dumps(_greedy_tree_by_history(spec, table, eps))
+            except NoQualifyingDieError as exc:
+                with pytest.raises(NoQualifyingDieError) as got:
+                    greedy_plus_strategy(spec, table, eps)
+                assert str(got.value) == str(exc)
+                outcomes.add("refused")
+                continue
+            strategy = greedy_plus_strategy(spec, table, eps)
+            assert json.dumps(strategy.to_tree(spec, table.n)) == want
+            outcomes.add("built")
+    assert outcomes == {"built", "refused"}
+
+
+def test_oracle_cost_follows_distinct_states():
+    # threshold on the E2 ratio witness: 474 distinct (depth, state) pairs
+    # at n=10 against 1,398,101 tree nodes; every distinct internal state
+    # steps each of the 4 faces at most once
+    eps = F(1, 16)
+    wit = mvr_witness(e2(), eps)
+    calls = 0
+
+    def counted(step):
+        def wrapped(state, face):
+            nonlocal calls
+            calls += 1
+            return step(state, face)
+        return wrapped
+
+    table = ExtractorTable.for_threshold(wit, eps, 10)
+    exact_extremes(e2(), dataclasses.replace(table, step=counted(table.step)))
+    assert calls <= 4 * 474
+    assert exact_extremes(e2(), ExtractorTable.for_threshold(wit, eps, 8)).bias == F(
+        7105781, 11943936
+    )
 
 
 # -- forward distributions ---------------------------------------------------
