@@ -27,6 +27,7 @@ import json
 import statistics
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import extractors as ex
 from .classify import Category, classify, mvr_witness
@@ -38,8 +39,6 @@ from .presets import load_source
 
 EXIT_PARSE = 64
 EXIT_GUARD = 65
-
-EXTRACTOR_NAMES = ("threshold", "bit-exp", "multibit-naive", "multibit-fast")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -110,35 +109,90 @@ def cmd_classify(args) -> int:
     }[report.category]
 
 
-def _run_with_transcript(name: str, psi: Witness, epsilon, faces, m: int):
-    """Run an extractor step by step; returns (bits, transcript rows)."""
-    rows = []
-    values = psi.values
-    if name == "threshold":
-        state = ex.ThresholdState.initial(ex.threshold_bound_m(epsilon))
-        for i, face in enumerate(faces, start=1):
-            state = ex.threshold_step(state, values[face])
-            rows.append((i, face, rat_str(values[face]), rat_str(state.z)))
-        return ("1" if state.z >= 0 else "0"), rows
-    if name == "bit-exp":
-        state = ex.BitExpState()
-        for i, face in enumerate(faces, start=1):
-            state = ex.bit_exp_step(state, values[face])
-            rows.append((i, face, rat_str(values[face]), rat_str(state.z)))
-        return ("1" if state.z >= 0 else "0"), rows
-    if name == "multibit-naive":
-        state = ex.MultiBitState.initial(m)
-        for i, face in enumerate(faces, start=1):
-            state = ex.multibit_step_naive(state, values[face])
-            rows.append((i, face, rat_str(values[face]), rat_str(state.z[state.order[-1]])))
-        return ex.encode_index(state.winner(), m), rows
-    if name == "multibit-fast":
-        state = FastMultibitState(m)
-        for i, face in enumerate(faces, start=1):
-            state.advance(values[face])
-            rows.append((i, face, rat_str(values[face]), rat_str(state.top_value())))
-        return ex.encode_index(state.winner(), m), rows
-    raise SpecFormatError(f"unknown extractor {name!r}; pick from {EXTRACTOR_NAMES}")
+def _pm1_bits(sign: int) -> str:
+    return "1" if sign == 1 else "0"
+
+
+def _threshold_summaries(psi: Witness, epsilon, faces, m: int):
+    state = ex.ThresholdState.initial(ex.threshold_bound_m(epsilon))
+    for face in faces:
+        state = ex.threshold_step(state, psi.values[face])
+        yield state.z
+
+
+def _bit_exp_summaries(psi: Witness, epsilon, faces, m: int):
+    state = ex.BitExpState()
+    for face in faces:
+        state = ex.bit_exp_step(state, psi.values[face])
+        yield state.z
+
+
+def _naive_summaries(psi: Witness, epsilon, faces, m: int):
+    state = ex.MultiBitState.initial(m)
+    for face in faces:
+        state = ex.multibit_step_naive(state, psi.values[face])
+        yield state.z[state.order[-1]]
+
+
+def _fast_summaries(psi: Witness, epsilon, faces, m: int):
+    state = FastMultibitState(m)
+    for face in faces:
+        state.advance(psi.values[face])
+        yield state.top_value()
+
+
+class _Extractor(NamedTuple):
+    """A builtin extractor as the CLI runs it.
+
+    ``fold(psi, epsilon, faces, m)`` gives the output bits,
+    ``table(psi, epsilon, n, m)`` the :class:`ExtractorTable` for the
+    oracle, and ``summaries(psi, epsilon, faces, m)`` the z summary after
+    each step for the transcript, from the ``Fraction`` steppers.  The
+    entries name library functions at call time, so a wrapper installed
+    on a library function is seen here too.
+    """
+
+    fold: Callable
+    table: Callable
+    summaries: Callable
+
+
+EXTRACTORS = {
+    "threshold": _Extractor(
+        lambda psi, eps, faces, m: _pm1_bits(ex.threshold_extract(psi, eps, faces)),
+        lambda psi, eps, n, m: ExtractorTable.for_threshold(psi, eps, n),
+        _threshold_summaries,
+    ),
+    "bit-exp": _Extractor(
+        lambda psi, eps, faces, m: _pm1_bits(ex.bit_extract_exp(psi, faces)),
+        lambda psi, eps, n, m: ExtractorTable.for_bit_exp(psi, n),
+        _bit_exp_summaries,
+    ),
+    "multibit-naive": _Extractor(
+        lambda psi, eps, faces, m: ex.multibit_extract_naive(psi, faces, m),
+        lambda psi, eps, n, m: ExtractorTable.for_multibit(psi, n, m),
+        _naive_summaries,
+    ),
+    "multibit-fast": _Extractor(
+        lambda psi, eps, faces, m: multibit_extract_fast(psi, faces, m),
+        lambda psi, eps, n, m: ExtractorTable.for_multibit(psi, n, m, fast=True),
+        _fast_summaries,
+    ),
+}
+EXTRACTOR_NAMES = tuple(EXTRACTORS)
+
+
+def _transcript(extractor: _Extractor, psi: Witness, epsilon, faces, m: int) -> str:
+    """The step CSV: one row per sample with the witness value and the
+    extractor's z summary after the step."""
+    psi_text = [rat_str(v) for v in psi.values]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("step", "face", "psi_value", "z_summary"))
+    summaries = extractor.summaries(psi, epsilon, faces, m)
+    for i, (face, z) in enumerate(zip(faces, summaries), start=1):
+        writer.writerow((i, face, psi_text[face], rat_str(z)))
+    return buf.getvalue()
 
 
 def cmd_extract(args) -> int:
@@ -154,18 +208,20 @@ def cmd_extract(args) -> int:
     epsilon = rat(args.epsilon)
     try:
         psi = _auto_witness(spec, report, epsilon)
+        extractor = EXTRACTORS.get(args.extractor)
+        if extractor is None:
+            raise SpecFormatError(
+                f"unknown extractor {args.extractor!r}; pick from {EXTRACTOR_NAMES}"
+            )
         table = None
         if args.strategy == "worst-case":
-            fast = args.extractor == "multibit-fast"
-            if args.extractor == "threshold":
-                table = ExtractorTable.for_threshold(psi, epsilon, args.n)
-            elif args.extractor == "bit-exp":
-                table = ExtractorTable.for_bit_exp(psi, args.n)
-            else:
-                table = ExtractorTable.for_multibit(psi, args.n, args.m, fast=fast)
+            table = extractor.table(psi, epsilon, args.n, args.m)
         strategy = _resolve_strategy(spec, args.strategy, table)
         faces = sample_sequence(spec, strategy, args.n, args.seed)
-        bits, rows = _run_with_transcript(args.extractor, psi, epsilon, faces, args.m)
+        bits = extractor.fold(psi, epsilon, faces, args.m)
+        transcript = None
+        if args.transcript:
+            transcript = _transcript(extractor, psi, epsilon, faces, args.m)
     except GuardError as exc:
         print(exc, file=sys.stderr)
         return EXIT_GUARD
@@ -180,12 +236,8 @@ def cmd_extract(args) -> int:
         "witness": psi.to_jsonable(),
     }
     _write(args.out, json.dumps(doc, indent=2) + "\n")
-    if args.transcript:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("step", "face", "psi_value", "z_summary"))
-        writer.writerows(rows)
-        _write(args.transcript, buf.getvalue())
+    if transcript is not None:
+        _write(args.transcript, transcript)
     return 0
 
 
@@ -198,21 +250,15 @@ def cmd_bias(args) -> int:
     epsilon = rat(args.epsilon)
     rows: list[tuple[int, str]] = []
     try:
-        if args.extractor in EXTRACTOR_NAMES:
+        if args.extractor in EXTRACTORS:
             report = classify(spec)
             if report.category is Category.NON_EXTRACTABLE:
                 print("source is non-extractable; no witness to run", file=sys.stderr)
                 return 2
             psi = _auto_witness(spec, report, epsilon)
+            build = EXTRACTORS[args.extractor].table
             for n in _parse_range(args.n):
-                if args.extractor == "threshold":
-                    table = ExtractorTable.for_threshold(psi, epsilon, n)
-                elif args.extractor == "bit-exp":
-                    table = ExtractorTable.for_bit_exp(psi, n)
-                else:
-                    table = ExtractorTable.for_multibit(
-                        psi, n, args.m, fast=args.extractor == "multibit-fast"
-                    )
+                table = build(psi, epsilon, n, args.m)
                 if table.output_kind != "pm1":
                     raise SpecFormatError("bias sweeps need a single-bit extractor")
                 rows.append((n, rat_str(exact_extremes(spec, table).bias)))

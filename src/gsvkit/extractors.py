@@ -12,6 +12,13 @@ Extractors consume witness values, not faces; the face-to-value mapping
 happens at the entry points so the state machines are testable with
 synthetic value streams.  All state arithmetic is exact.
 
+Each extractor has a one-shot fold over a face sequence
+(``threshold_extract``, ``bit_extract_exp``, ``multibit_extract_naive``)
+and a ``Fraction`` stepper (``threshold_step``, ``bit_exp_step``,
+``multibit_step_naive``).  The folds keep integer numerators over one
+fixed scale and are checked against the steppers, which stay the exact
+reference and drive the oracle's tree walks and the CLI transcript.
+
 Ordering convention for the multi-bit extractor: coordinates are kept in
 a stable order — sorted ascending by value, with ties keeping their
 order from the previous step (coordinate index order at step 0).  The
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import OutputWidthError
@@ -53,8 +60,15 @@ def _psi_stream(psi: Witness, faces: Iterable[int]):
         yield values[face]
 
 
-def _sign(z: Fraction) -> int:
+def _sign(z: int) -> int:
     return 1 if z >= 0 else -1
+
+
+def _scaled(psi: Witness) -> tuple[int, list[int]]:
+    """(L, [psi_f * L]): the witness as integers over the lcm L of its
+    denominators."""
+    scale = lcm(*(v.denominator for v in psi.values))
+    return scale, [v.numerator * (scale // v.denominator) for v in psi.values]
 
 
 # --------------------------------------------------------------------------
@@ -106,11 +120,19 @@ def threshold_extract(psi: Witness, epsilon, faces: Sequence[int]) -> int:
     """Fold the threshold walk over the face sequence; sign of the sum.
 
     Returns +1 or -1, with sign(0) = +1 (the empty sequence gives +1).
+    The sum is kept as the integer z * L, where L is the lcm of the
+    witness denominators, and the walk stops at the first step that
+    starts with |z * L| >= M * L: the fold of :func:`threshold_step`,
+    which is its ``Fraction`` reference, in integers.
     """
-    state = ThresholdState.initial(threshold_bound_m(epsilon))
-    for value in _psi_stream(psi, faces):
-        state = threshold_step(state, value)
-    return _sign(state.z)
+    scale, nums = _scaled(psi)
+    bound = threshold_bound_m(epsilon) * scale
+    z = 0
+    for face in faces:
+        if abs(z) >= bound:
+            break
+        z += nums[face]
+    return _sign(z)
 
 
 # --------------------------------------------------------------------------
@@ -140,11 +162,23 @@ def bit_extract_exp(psi: Witness, faces: Sequence[int]) -> int:
     The exponential error guarantee holds when ``psi`` has zero mean and
     positive variance under every die (an NK+ witness); the fold itself
     accepts any witness.  sign(0) = +1.
+
+    The state z = N / D is kept as two integers.  With L the lcm of the
+    witness denominators and A = psi_f * L, a step is
+    N <- 2L*N + A*(D - |N|) and D <- 2L*D, so D = (2L)^t after t steps
+    with a nonzero value (a zero value leaves z, N and D as they are).
+    This is the fold of :func:`bit_exp_step`, its ``Fraction``
+    reference, without a gcd per step.
     """
-    state = BitExpState()
-    for value in _psi_stream(psi, faces):
-        state = bit_exp_step(state, value)
-    return _sign(state.z)
+    scale, nums = _scaled(psi)
+    scale2 = 2 * scale
+    num, den = 0, 1
+    for face in faces:
+        a = nums[face]
+        if a:
+            num = scale2 * num + a * (den - abs(num))
+            den *= scale2
+    return _sign(num)
 
 
 # --------------------------------------------------------------------------

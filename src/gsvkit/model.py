@@ -9,7 +9,8 @@ Everything in this module is exact: probabilities and witness values are
 arbitrary-precision rationals (`fractions.Fraction`), and all moments are
 computed without rounding.  The only floating point anywhere is absent
 even from sampling — the inverse-CDF draw compares an integer uniform
-64-bit variate against exact rational cumulative probabilities.
+64-bit variate against the integers ceil(cum * 2^64) of the exact
+rational cumulative probabilities.
 
 All types are immutable values; all operations are pure functions, so
 everything here is safe for unrestricted concurrent use.
@@ -290,6 +291,8 @@ class Strategy:
     def __init__(self, choose: Callable[[History], int], description: str = "strategy"):
         self._choose = choose
         self.description = description
+        #: the die a constant strategy always picks; None for any other
+        self.die: int | None = None
 
     def choose(self, history: Sequence[int]) -> int:
         return self._choose(tuple(history))
@@ -299,7 +302,9 @@ class Strategy:
 
     @classmethod
     def constant(cls, die_index: int) -> "Strategy":
-        return cls(lambda _h: die_index, f"constant:{die_index}")
+        strategy = cls(lambda _h: die_index, f"constant:{die_index}")
+        strategy.die = die_index
+        return strategy
 
     @classmethod
     def from_tree(cls, tree: dict, face_labels: Sequence[str]) -> "Strategy":
@@ -343,31 +348,40 @@ class Strategy:
 def sample_sequence(spec: SourceSpec, strategy: Strategy, n: int, seed: int) -> tuple[int, ...]:
     """Draw ``n`` faces from the source under ``strategy``, reproducibly.
 
-    Each step draws a uniform 64-bit integer from a seeded generator and
-    inverts the chosen die's exact cumulative distribution against it, so
-    the sampled path is a deterministic function of (spec, strategy, n,
-    seed) with exactly the die's probabilities at 2^-64 granularity.
+    Each step draws a uniform 64-bit integer u from a seeded generator and
+    inverts the chosen die's exact cumulative distribution against it: the
+    face is the first f with u < T_f, where T_f = ceil(cum_f * 2^64) is
+    computed once per die, the first time the die is chosen.  For an
+    integer u that is exactly u/2^64 < cum_f, so the sampled path is a
+    deterministic function of (spec, strategy, n, seed) with exactly the
+    die's probabilities at 2^-64 granularity.  A constant strategy
+    (``Strategy.constant``) is read once; any other strategy is asked
+    with the history at every step.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = Random(seed)
     ndice = spec.num_dice
+    cdfs: dict[int, tuple[list[int], Fraction]] = {}  # die -> (thresholds, total mass)
+    fixed = strategy.die
     out: list[int] = []
     for _ in range(n):
-        die_index = strategy.choose(tuple(out))
-        if not isinstance(die_index, int) or not 0 <= die_index < ndice:
-            raise StrategyError(f"strategy chose die {die_index!r}, have {ndice} dice")
-        die = spec.dice[die_index]
+        die_index = fixed if fixed is not None else strategy.choose(tuple(out))
+        cdf = cdfs.get(die_index) if isinstance(die_index, int) else None
+        if cdf is None:
+            if not isinstance(die_index, int) or not 0 <= die_index < ndice:
+                raise StrategyError(f"strategy chose die {die_index!r}, have {ndice} dice")
+            thresholds = []
+            cum = Fraction(0)
+            for p in spec.dice[die_index].probs:
+                cum += p
+                thresholds.append(-((-cum.numerator << 64) // cum.denominator))
+            cdf = cdfs[die_index] = (thresholds, cum)
         u = rng.getrandbits(64)
-        cum = Fraction(0)
-        face = None
-        for f, p in enumerate(die.probs):
-            cum += p
-            # u/2^64 < cum, compared exactly in integers
-            if u * cum.denominator < cum.numerator << 64:
-                face = f
+        for face, threshold in enumerate(cdf[0]):
+            if u < threshold:
+                out.append(face)
                 break
-        if face is None:
-            raise ValueError(f"die {die_index} is not a distribution (mass {cum} < 1)")
-        out.append(face)
+        else:
+            raise ValueError(f"die {die_index} is not a distribution (mass {cdf[1]} < 1)")
     return tuple(out)

@@ -78,6 +78,40 @@ def test_extract_worst_case_strategy(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_extract_long_bit_exp_walk_exits_0(tmp_path):
+    # the bit-exp state of this walk has more digits than Python's default
+    # int-to-str limit; without --transcript it is never formatted
+    out = tmp_path / "res.json"
+    assert run("extract", "--source", "e2", "--extractor", "bit-exp", "--n", "4000",
+               "--seed", "7", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["bits"] in ("0", "1")
+
+
+def test_extract_bits_do_not_depend_on_the_transcript(tmp_path):
+    cases = [("threshold", "200", "1"), ("bit-exp", "200", "1"),
+             ("multibit-naive", "60", "3"), ("multibit-fast", "60", "3")]
+    seen = set()
+    for extractor, n, m in cases:
+        for source, seed in (("e2", "0"), ("e2", "4"), ("fair-coin", "0"), ("fair-coin", "1")):
+            args = ("extract", "--source", source, "--extractor", extractor, "--n", n,
+                    "--m", m, "--seed", seed)
+            plain, with_rows = tmp_path / "plain.json", tmp_path / "rows.json"
+            tr = tmp_path / "steps.csv"
+            assert run(*args, "--out", str(plain)) == 0
+            assert run(*args, "--out", str(with_rows), "--transcript", str(tr)) == 0
+            assert plain.read_bytes() == with_rows.read_bytes()
+            assert len(tr.read_text().splitlines()) == int(n) + 1
+            seen.add((extractor, json.loads(plain.read_text())["bits"]))
+    assert {("threshold", "0"), ("threshold", "1"), ("bit-exp", "0"), ("bit-exp", "1")} <= seen
+
+
+def test_extract_naive_width_guard_exits_65(capsys):
+    assert run("extract", "--source", "fair-coin", "--extractor", "multibit-naive",
+               "--n", "8", "--m", "21") == 65
+    err = capsys.readouterr().err
+    assert "m=21" in err and "(20)" in err
+
+
 def test_extract_non_extractable_exits_2():
     assert run("extract", "--source", "e1", "--n", "4") == 2
 

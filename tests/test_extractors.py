@@ -19,6 +19,7 @@ from gsvkit import (
     bit_extract_exp,
     die_var,
     mvr_witness,
+    sample_sequence,
     multibit_extract_naive,
     multibit_step_naive,
     threshold_bound_m,
@@ -26,6 +27,7 @@ from gsvkit import (
     threshold_step,
 )
 from gsvkit.presets import e2, fair_coin
+from specgen import random_zero_mean_spec
 
 PM = Witness([1, -1], "NK_PLUS", min_variance=1)
 
@@ -132,6 +134,79 @@ def test_log_distance_drift_lower_bound():
                     )
                     drift += term * p.numerator / p.denominator
                 assert drift >= bound - mpmath.mpf("1e-9"), (spec, z, die)
+
+
+# -- integer folds against the Fraction steppers ----------------------------
+
+
+def _stepper_signs(psi, epsilon, faces):
+    """(threshold, bit-exp) signs from folding the Fraction steppers."""
+    t = ThresholdState.initial(threshold_bound_m(epsilon))
+    b = BitExpState()
+    for f in faces:
+        t = threshold_step(t, psi.values[f])
+        b = bit_exp_step(b, psi.values[f])
+    return (1 if t.z >= 0 else -1), (1 if b.z >= 0 else -1)
+
+
+def _assert_folds_match(psi, epsilon, faces):
+    want = _stepper_signs(psi, epsilon, faces)
+    got = (threshold_extract(psi, epsilon, faces), bit_extract_exp(psi, faces))
+    assert got == want, (psi.values, epsilon, faces)
+
+
+def test_integer_folds_match_the_steppers():
+    import random
+
+    rng = random.Random(41)
+    mixed = 0
+    for k in range(60):
+        spec, values = random_zero_mean_spec(rng, rng.randint(2, 6), rng.randint(1, 4))
+        psi = Witness(values, "NK_PLUS")
+        mixed += len({v.denominator for v in values}) > 1 and 0 in values
+        epsilon = F(1, rng.choice((2, 4, 9, 16, 25)))
+        for n in (0, 1, 7, 40):
+            faces = sample_sequence(spec, Strategy(lambda h: len(h) % spec.num_dice), n, k)
+            _assert_folds_match(psi, epsilon, faces)
+            faces = [rng.randrange(len(values)) for _ in range(n)]
+            _assert_folds_match(psi, epsilon, faces)
+    assert mixed >= 10  # the inputs do mix denominators with zero values
+
+
+def test_integer_folds_on_exact_freezes_and_zero_ends():
+    halves = Witness([F(1, 2), F(-1, 2), 0], "NK")
+    tie = Witness([F(2, 3), -1], "NK")
+    cases = [
+        # land exactly on +M or -M (M = 2), then walk back across zero:
+        # the frozen sum keeps its sign
+        (PM, "1/4", (0, 0, 1, 1, 1)),
+        (PM, "1/4", (1, 1, 0, 0, 0)),
+        (halves, "1/4", (0, 0, 0, 0, 1, 1, 1, 1, 1, 2)),
+        (halves, "1/4", (1, 1, 2, 1, 1, 0, 0, 0, 0, 0)),
+        # one step short of M: the walk goes on
+        (PM, "1/9", (0, 0, 1, 1, 1)),
+        # sums and damped walks that end at exactly zero
+        (PM, "1/4", (0, 1)),
+        (PM, "1/4", (1, 0, 1, 0, 0, 1)),
+        (halves, "1/4", (2, 2, 2)),
+        (tie, "1/4", (0, 1)),
+        (tie, "1/4", (0, 1, 0, 1)),
+    ]
+    for psi, epsilon, faces in cases:
+        _assert_folds_match(psi, epsilon, faces)
+    # all sequences up to length 6 over the three-valued witness
+    for n in range(7):
+        for faces in product(range(3), repeat=n):
+            _assert_folds_match(halves, "1/4", faces)
+
+
+def test_integer_folds_on_a_long_e2_walk():
+    spec = e2()
+    eps = F(1, 16)
+    psi = mvr_witness(spec, eps)
+    for die in range(spec.num_dice):
+        faces = sample_sequence(spec, Strategy.constant(die), 1200, die)
+        _assert_folds_match(psi, eps, faces)
 
 
 # -- multi-bit, naive -------------------------------------------------------

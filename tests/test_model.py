@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from gsvkit import (
     validate_source,
 )
 from gsvkit.presets import e1, e2, fair_coin, hidden_sv, load_source, sv_pair
+from specgen import random_spec
 
 
 def test_rat_parses_exact_forms():
@@ -151,6 +153,61 @@ def test_sample_deterministic_given_seed():
     c = sample_sequence(spec, strat, 64, 1235)
     assert a == b
     assert a != c
+
+
+def _reference_sample(spec, strategy, n, seed):
+    """Inverse-CDF sampling with running Fraction sums, asking the
+    strategy with the history at every step."""
+    rng = Random(seed)
+    out = []
+    for _ in range(n):
+        die = spec.dice[strategy.choose(tuple(out))]
+        u = rng.getrandbits(64)
+        cum = F(0)
+        for f, p in enumerate(die.probs):
+            cum += p
+            if u * cum.denominator < cum.numerator << 64:
+                out.append(f)
+                break
+    return tuple(out)
+
+
+def test_sample_matches_the_fraction_cdf_reference():
+    rng = Random(5)
+    zero_entries = 0
+    for k in range(40):
+        spec = random_spec(rng, rng.randint(2, 5), rng.randint(1, 4))
+        zero_entries += any(p == 0 for d in spec.dice for p in d.probs)
+        ndice = spec.num_dice
+        callback = Strategy(lambda h, d=ndice: (len(h) + sum(h)) % d)
+        tree = Strategy.from_tree(callback.to_tree(spec, 4), spec.face_labels)
+        for strategy, n in ((Strategy.constant(k % ndice), 300), (callback, 300), (tree, 4)):
+            got = sample_sequence(spec, strategy, n, k)
+            assert got == _reference_sample(spec, strategy, n, k)
+    assert zero_entries >= 10
+    for spec in (e2(), sv_pair("1/3"), SourceSpec(("a", "b", "c"), [(0, "1/2", "1/2")])):
+        for die in range(spec.num_dice):
+            constant = sample_sequence(spec, Strategy.constant(die), 500, die)
+            assert constant == sample_sequence(spec, Strategy(lambda h, d=die: d), 500, die)
+            assert constant == _reference_sample(spec, Strategy.constant(die), 500, die)
+
+
+def test_sample_draws_at_the_cdf_boundaries(monkeypatch):
+    # u/2^64 < cum exactly: u = ceil(cum * 2^64) - 1 is the last variate of
+    # a face, for a non-dyadic and a dyadic cumulative mass alike
+    third = -(-(1 << 64) // 3)
+    draws = iter([third - 1, third, (1 << 64) - 1, 0, (1 << 63) - 1, 1 << 63])
+
+    class Fixed:
+        def __init__(self, _seed):
+            pass
+
+        def getrandbits(self, _k):
+            return next(draws)
+
+    monkeypatch.setattr("gsvkit.model.Random", Fixed)
+    assert sample_sequence(sv_pair("1/6"), Strategy.constant(1), 4, 0) == (0, 1, 1, 0)
+    assert sample_sequence(fair_coin(), Strategy.constant(0), 2, 0) == (0, 1)
 
 
 def test_sample_rejects_bad_strategy():
