@@ -22,6 +22,7 @@ from .classify import (
     mvr_witness,
 )
 from .errors import (
+    DigitLimitError,
     DimensionError,
     EmptySupportError,
     EnumLimitError,

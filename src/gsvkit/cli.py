@@ -9,13 +9,10 @@ Subcommands:
   run one of the extractors over it, optionally with a CSV transcript.
 * ``bias``     — exact worst-case bias of an extractor for a range of
   sample counts, as CSV.
-* ``bench``    — wall-time medians of the naive vs fast multi-bit
-  implementations over an (n, m) grid.
 
 Numeric flags accept exact "p/q" strings.  Parse and validation failures
 exit 64; cost-guard refusals exit 65.  Identical inputs and seed produce
-byte-identical output files (``bench`` reports wall times, which are
-measurements and necessarily vary).
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -24,14 +21,13 @@ import argparse
 import csv
 import io
 import json
-import statistics
+import math
 import sys
-import time
 from typing import Callable, NamedTuple
 
 from . import extractors as ex
 from .classify import Category, classify, mvr_witness
-from .errors import GsvError, GuardError, SpecFormatError
+from .errors import DigitLimitError, GsvError, GuardError, SpecFormatError
 from .fastmultibit import FastMultibitState, multibit_extract_fast
 from .model import SourceSpec, Strategy, Witness, rat, rat_str, sample_sequence, validate_source
 from .oracle import ExtractorTable, exact_extremes
@@ -67,8 +63,6 @@ def _auto_witness(spec: SourceSpec, report, epsilon) -> Witness:
 
 def _resolve_strategy(spec: SourceSpec, arg: str, table: ExtractorTable | None) -> Strategy:
     if arg == "worst-case":
-        if table is None:
-            raise SpecFormatError("worst-case strategy needs a concrete extractor")
         return exact_extremes(spec, table).max_strategy
     if arg.startswith("constant:"):
         die = int(arg.split(":", 1)[1])
@@ -145,15 +139,17 @@ class _Extractor(NamedTuple):
     """A builtin extractor as the CLI runs it.
 
     ``fold(psi, epsilon, faces, m)`` gives the output bits,
-    ``table(psi, epsilon, n, m)`` the :class:`ExtractorTable` for the
-    oracle, and ``summaries(psi, epsilon, faces, m)`` the z summary after
-    each step for the transcript, from the ``Fraction`` steppers.  The
-    entries name library functions at call time, so a wrapper installed
-    on a library function is seen here too.
+    ``table(psi, epsilon, n, m)`` the single-bit :class:`ExtractorTable`
+    for the oracle (None for the multi-bit extractors, which the
+    worst-case strategy and bias sweeps do not take), and
+    ``summaries(psi, epsilon, faces, m)`` the z summary after each step
+    for the transcript, from the ``Fraction`` steppers.  The entries name
+    library functions at call time, so a wrapper installed on a library
+    function is seen here too.
     """
 
     fold: Callable
-    table: Callable
+    table: Callable | None
     summaries: Callable
 
 
@@ -170,27 +166,47 @@ EXTRACTORS = {
     ),
     "multibit-naive": _Extractor(
         lambda psi, eps, faces, m: ex.multibit_extract_naive(psi, faces, m),
-        lambda psi, eps, n, m: ExtractorTable.for_multibit(psi, n, m),
+        None,
         _naive_summaries,
     ),
     "multibit-fast": _Extractor(
         lambda psi, eps, faces, m: multibit_extract_fast(psi, faces, m),
-        lambda psi, eps, n, m: ExtractorTable.for_multibit(psi, n, m, fast=True),
+        None,
         _fast_summaries,
     ),
 }
 EXTRACTOR_NAMES = tuple(EXTRACTORS)
+SINGLE_BIT_NAMES = ", ".join(name for name, e in EXTRACTORS.items() if e.table is not None)
+
+
+def _digits(x: int) -> int:
+    """Decimal digit count of x >= 0, found without converting x to a string."""
+    d = int(x.bit_length() * math.log10(2)) + 1  # exact or one too many
+    return d - (d > 1 and x < 10 ** (d - 1))
 
 
 def _transcript(extractor: _Extractor, psi: Witness, epsilon, faces, m: int) -> str:
     """The step CSV: one row per sample with the witness value and the
-    extractor's z summary after the step."""
+    extractor's z summary after the step.
+
+    A z whose numerator or denominator has more digits than Python's
+    int-to-str limit cannot be formatted; that raises DigitLimitError at
+    its step (the limit is never raised).
+    """
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    bound = 10**limit  # the smallest integer with more than limit digits
     psi_text = [rat_str(v) for v in psi.values]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("step", "face", "psi_value", "z_summary"))
     summaries = extractor.summaries(psi, epsilon, faces, m)
     for i, (face, z) in enumerate(zip(faces, summaries), start=1):
+        widest = max(abs(z.numerator), z.denominator)
+        if limit and widest >= bound:
+            raise DigitLimitError(
+                f"transcript z at step {i} has {_digits(widest)} digits, over the "
+                f"int-to-str limit of {limit} digits"
+            )
         writer.writerow((i, face, psi_text[face], rat_str(z)))
     return buf.getvalue()
 
@@ -215,6 +231,10 @@ def cmd_extract(args) -> int:
             )
         table = None
         if args.strategy == "worst-case":
+            if extractor.table is None:
+                raise SpecFormatError(
+                    f"worst-case strategy needs a single-bit extractor ({SINGLE_BIT_NAMES})"
+                )
             table = extractor.table(psi, epsilon, args.n, args.m)
         strategy = _resolve_strategy(spec, args.strategy, table)
         faces = sample_sequence(spec, strategy, args.n, args.seed)
@@ -257,10 +277,10 @@ def cmd_bias(args) -> int:
                 return 2
             psi = _auto_witness(spec, report, epsilon)
             build = EXTRACTORS[args.extractor].table
+            if build is None:
+                raise SpecFormatError("bias sweeps need a single-bit extractor")
             for n in _parse_range(args.n):
                 table = build(psi, epsilon, n, args.m)
-                if table.output_kind != "pm1":
-                    raise SpecFormatError("bias sweeps need a single-bit extractor")
                 rows.append((n, rat_str(exact_extremes(spec, table).bias)))
         else:
             with open(args.extractor, encoding="utf-8") as fh:
@@ -278,41 +298,6 @@ def cmd_bias(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("n", "bias"))
-    writer.writerows(rows)
-    _write(args.out, buf.getvalue())
-    return 0
-
-
-def cmd_bench(args) -> int:
-    try:
-        spec = _load_validated(args.source)
-        report = classify(spec)
-        psi = _auto_witness(spec, report, rat(args.epsilon))
-    except (GsvError, OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
-    ns = _parse_range(args.n)
-    ms = _parse_range(args.m)
-    reps = max(args.reps, 1)
-    rows = []
-    for n in ns:
-        faces = sample_sequence(spec, Strategy.constant(0), n, args.seed)
-        for m in ms:
-            impls = [("fast", lambda: multibit_extract_fast(psi, faces, m))]
-            if args.mode == "comparative":
-                impls.insert(
-                    0, ("naive", lambda: ex.multibit_extract_naive(psi, faces, m))
-                )
-            for name, run in impls:
-                times = []
-                for _ in range(reps):
-                    t0 = time.perf_counter()
-                    run()
-                    times.append(time.perf_counter() - t0)
-                rows.append((name, n, m, f"{statistics.median(times):.6f}", reps))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("impl", "n", "m", "median_seconds", "reps"))
     writer.writerows(rows)
     _write(args.out, buf.getvalue())
     return 0
@@ -345,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", default="1/16", help="target error, a p/q string")
     p.add_argument("--strategy", default="constant:0",
-                   help='"worst-case", "constant:<die>", or a strategy tree JSON path')
+                   help='"worst-case" (needs a single-bit extractor: '
+                        f'{SINGLE_BIT_NAMES}), "constant:<die>", or a strategy tree JSON path')
     p.add_argument("--transcript", default=None, help="write a step CSV here")
     p.set_defaults(fn=cmd_extract)
 
@@ -357,17 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--epsilon", default="1/16")
     p.set_defaults(fn=cmd_bias)
-
-    p = sub.add_parser("bench", help="naive vs fast multibit timings")
-    p.add_argument("--source", default="fair-coin")
-    p.add_argument("--out", default=None)
-    p.add_argument("--n", default="200")
-    p.add_argument("--m", default="14")
-    p.add_argument("--mode", choices=("comparative", "fast-only"), default="comparative")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", default="1/16")
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

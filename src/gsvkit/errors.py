@@ -57,6 +57,14 @@ class OutputWidthError(GuardError):
     guard = "M_LIMIT"
 
 
+class DigitLimitError(GuardError):
+    """An exact value has more decimal digits than Python's int-to-str
+    limit (``sys.get_int_max_str_digits``), so it cannot be written out
+    (DIGIT_LIMIT)."""
+
+    guard = "DIGIT_LIMIT"
+
+
 class NotHnkError(GsvError):
     """A ratio witness was requested for a source that fails HNK."""
 

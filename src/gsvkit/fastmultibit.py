@@ -5,30 +5,32 @@ at sorted position j it is scaled by (1 - psi/2) when j is odd and by
 (1 + psi/2) when j is even, while the largest coordinate absorbs the
 balancing amount.  Coordinates sharing a value therefore evolve in
 lockstep, so the whole state compresses into a short list of
-(value, count) groups — one per distinct value — plus a log of the
-members that have ever been the largest ("promotions"), which is what
-the identity of the final winner is traced back through.
+(value, count) groups, one per distinct value, plus one step record per
+consumed witness value.
 
 Within the stable order (ascending value, ties keeping their previous
 rank) the members of a group occupy consecutive positions, so each group
 splits by position parity into two arithmetic subsequences of its rank
-space.  A step is O(number of groups): count arithmetic for the splits,
-one multiplication per (group, parity), and a merge of the already-sorted
-derived values.  Group counts stay exact big integers; nothing ever
-enumerates 2^m coordinates, so widths up to m = 62 are fine.
+space.  A step is O(g log g) in the number g of groups: count arithmetic
+for the splits, one multiplication per (group, parity) slice, one sort of
+the slices and the top member by (value, source group, kind), and a pass
+that joins equal values into the new groups.  Group counts stay exact big
+integers; nothing ever enumerates 2^m coordinates, so widths up to m = 62
+are fine.
 
 Group values are exact but not stored as Fractions: each is an integer
 numerator over one scale shared by the whole state, 2^m * prod_s 2*b_s
 after steps with witness values a_s/b_s.  Order and equality under a
-common denominator are those of the numerators, so the merge and the
+common denominator are those of the numerators, so the sort and the
 regrouping are plain int work with no gcd; the ``groups`` view builds
 the reduced Fractions only when it is read.
 
-Per-step split records are kept (as flat int64 arrays) so that the final
-winner's rank can be mapped back step by step to its rank in the uniform
-initial state, i.e. its coordinate index.
+A step record (a flat int64 array) lists, for every new group, the
+slices it was joined from.  The final winner, the last member of the
+largest group, is traced back through the records step by step to its
+rank in the uniform initial state, i.e. its coordinate index.
 
-``extract_fast`` is the counterpart of
+``multibit_extract_fast`` is the counterpart of
 :func:`gsvkit.extractors.multibit_extract_naive` and must agree with it
 bit for bit wherever the naive guard allows both to run.
 """
@@ -36,8 +38,9 @@ bit for bit wherever the naive guard allows both to run.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import OutputWidthError
@@ -48,34 +51,19 @@ __all__ = ["FastMultibitState", "multibit_extract_fast", "FAST_WIDTH_GUARD"]
 
 FAST_WIDTH_GUARD = 62  # counts are stored as int64 in the step records
 
-_MULT, _TOP = 0, 1  # record kinds
-
-
-@dataclass(frozen=True)
-class _Contrib:
-    """One parity-slice of a source group feeding a new group.
-
-    Members are the source group's ranks first_rank, first_rank + stride,
-    ... (``count`` of them); kind ``_TOP`` marks the single member that
-    sat at the global top position and took the balancing update.
-    """
-
-    kind: int
-    src_class: int
-    first_rank: int
-    stride: int
-    count: int
+_MULT, _TOP = 0, 1  # record kinds; the top member sorts last among ties
 
 
 class FastMultibitState:
     """Value-grouped state of the 2^m coupled martingales.
 
-    Single-owner accumulator: ``advance`` appends to the internal step
-    log.  ``groups`` lists (value, count) ascending by value, built from
-    the integer numerators on each read; the global order within a group
-    is its members' previous-step order, which the rank arithmetic
-    preserves, so (group index, rank) addresses a unique martingale at
-    every step.
+    Single-owner accumulator: ``advance`` replaces the groups and appends
+    one step record per witness value.  ``groups`` lists (value, count)
+    ascending by value, built from the integer numerators on each read;
+    the global order within a group is its members' previous-step order,
+    which the rank arithmetic preserves, so (group index, rank) addresses
+    a unique martingale at every step.  ``winner`` maps the last rank of
+    the largest group back through the step records to a coordinate.
     """
 
     def __init__(self, m: int):
@@ -85,13 +73,10 @@ class FastMultibitState:
             raise OutputWidthError(f"m={m} exceeds the fast-path guard ({FAST_WIDTH_GUARD})")
         self.m = m
         self.size = 1 << m
-        self.step = 0
         # (numerator, count) ascending; every value is numerator / _scale
         self._groups: list[tuple[int, int]] = [(1, self.size)]
         self._scale = self.size
         self._records: list[array] = []
-        # ever-largest members as (group index, rank, first step on top)
-        self._tracked: list[tuple[int, int, int]] = []
 
     # -- exact views ------------------------------------------------------
 
@@ -105,173 +90,77 @@ class FastMultibitState:
         """Value of the largest group."""
         return Fraction(self._groups[-1][0], self._scale)
 
-    # -- the two-list view ------------------------------------------------
-
-    def never_top(self) -> list[tuple[Fraction, int]]:
-        """(value, count) over martingales that were never the largest."""
-        exclude: dict[int, int] = {}
-        for cls, _rank, _t in self._tracked:
-            exclude[cls] = exclude.get(cls, 0) + 1
-        out = []
-        for k, (v, c) in enumerate(self.groups):
-            c -= exclude.get(k, 0)
-            if c:
-                out.append((v, c))
-        return out
-
-    def ever_top(self) -> list[tuple[Fraction, int]]:
-        """(current value, first step on top) per ever-largest martingale."""
-        groups, scale = self._groups, self._scale
-        return [(Fraction(groups[cls][0], scale), t) for cls, _rank, t in self._tracked]
-
     def total_mass(self) -> Fraction:
         return Fraction(sum(n * c for n, c in self._groups), self._scale)
 
     # -- forward ----------------------------------------------------------
 
     def advance(self, psi_value) -> None:
-        """Consume one witness value; O(#groups) exact arithmetic.
+        """Consume one witness value; O(g log g) exact arithmetic.
 
         A value a/b multiplies the scale by 2b, so the numerators update
         in integers: N*(2b - a) at odd positions, N*(2b + a) at even
         ones, and N_top*2b - a*B for the top, B being the balancing sum.
+
+        Each new group is made of slices (value, source group, kind,
+        first rank, rank stride, count).  Sorting the slices puts equal
+        values next to each other in the stable order: a tie goes to the
+        lower source group (its members sat lower before the step), and
+        the balancing top member, which sat highest, comes last.
         """
         value = rat(psi_value)
-        self.step += 1
+        groups = self._groups
         if value == 0:
-            record = [len(self._groups)]
-            for k, (_v, cnt) in enumerate(self._groups):
+            record = [len(groups)]
+            for k, (_n, cnt) in enumerate(groups):
                 record.extend((cnt, 1, _MULT, k, 1, 1, cnt))
             self._records.append(array("q", record))
-            self._promote()
             return
         a, b2 = value.numerator, 2 * value.denominator
         low_f, high_f = b2 - a, b2 + a
-        size = self.size
-        groups = self._groups
 
-        lows: list[tuple[int, _Contrib]] = []
-        highs: list[tuple[int, _Contrib]] = []
-        balance = 0
-        pos = 1
-        for k, (v, cnt) in enumerate(groups):
-            hi = min(pos + cnt - 1, size - 1)  # global top position sits out
-            if pos <= hi:
-                odd = (hi + 1) // 2 - pos // 2
-                even = (hi - pos + 1) - odd
-                balance += v * (even - odd)
-                if odd:
-                    first_odd = pos if pos % 2 == 1 else pos + 1
-                    lows.append(
-                        (v * low_f, _Contrib(_MULT, k, first_odd - pos + 1, 2, odd))
-                    )
-                if even:
-                    first_even = pos if pos % 2 == 0 else pos + 1
-                    highs.append(
-                        (v * high_f, _Contrib(_MULT, k, first_even - pos + 1, 2, even))
-                    )
-            pos += cnt
         top_k = len(groups) - 1
         top_v, top_cnt = groups[top_k]
-        top_item = (top_v * b2 - a * balance, _Contrib(_TOP, top_k, top_cnt, 0, 1))
+        # the top member, last rank of the last group, sits out of the
+        # multiplicative update
+        movers = groups[:top_k]
+        movers.append((top_v, top_cnt - 1))
+        slices: list[tuple[int, int, int, int, int, int]] = []
+        balance = 0
+        pos = 1
+        for k, (v, cnt) in enumerate(movers):
+            if cnt:
+                odd = (pos + cnt) // 2 - pos // 2  # odd positions in pos..pos+cnt-1
+                even = cnt - odd
+                balance += v * (even - odd)
+                # rank 1 sits at position pos: odd positions start at rank 1
+                # when pos is odd and at rank 2 when it is even
+                first_odd = 2 - (pos & 1)
+                if odd:
+                    slices.append((v * low_f, k, _MULT, first_odd, 2, odd))
+                if even:
+                    slices.append((v * high_f, k, _MULT, 3 - first_odd, 2, even))
+            pos += cnt
+        slices.append((top_v * b2 - a * balance, top_k, _TOP, top_cnt, 0, 1))
+        slices.sort()
 
-        merged = self._merge(lows, highs, top_item)
-
-        # regroup equal values; contribution order inside a group follows
-        # the source positions, which the merge tie rule already respects
         new_groups: list[tuple[int, int]] = []
         record: list[int] = [0]
-        # (kind, src group, rank parity) -> (new group, member offset, first rank)
-        contrib_locator: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-        i = 0
-        while i < len(merged):
-            v = merged[i][0]
-            members = 0
-            contribs: list[_Contrib] = []
-            while i < len(merged) and merged[i][0] == v:
-                contribs.append(merged[i][1])
-                members += merged[i][1].count
-                i += 1
-            gidx = len(new_groups)
-            record.extend((members, len(contribs)))
-            offset = 0
-            for c in contribs:
-                record.extend((c.kind, c.src_class, c.first_rank, c.stride, c.count))
-                key = (c.kind, c.src_class, 1 if c.kind == _TOP else c.first_rank % 2)
-                contrib_locator[key] = (gidx, offset, c.first_rank)
-                offset += c.count
+        for v, run in groupby(slices, key=itemgetter(0)):
+            head = len(record)
+            record += (0, 0)  # members and slice count, filled in below
+            members = nslices = 0
+            for _v, src, kind, first, stride, count in run:
+                record += (kind, src, first, stride, count)
+                members += count
+                nslices += 1
+            record[head : head + 2] = members, nslices
             new_groups.append((v, members))
         record[0] = len(new_groups)
 
-        self._remap_tracked(contrib_locator)
         self._groups = new_groups
         self._scale *= b2
         self._records.append(array("q", record))
-        self._promote()
-
-    @staticmethod
-    def _merge(lows, highs, top_item):
-        """Three-way merge of the already-sorted derived value lists.
-
-        Value ties are ordered by source group index (equal to source
-        position order), with the balancing member last — exactly the
-        previous-order rule the stable sort uses.
-        """
-        out = []
-        i = j = 0
-        top_pending = True
-
-        def top_before_mult(item) -> bool:
-            return top_item[0] < item[0]
-
-        while i < len(lows) or j < len(highs):
-            if i < len(lows) and (
-                j >= len(highs)
-                or lows[i][0] < highs[j][0]
-                or (lows[i][0] == highs[j][0] and lows[i][1].src_class < highs[j][1].src_class)
-            ):
-                pick = lows[i]
-                i += 1
-            else:
-                pick = highs[j]
-                j += 1
-            if top_pending and top_before_mult(pick):
-                out.append(top_item)
-                top_pending = False
-            out.append(pick)
-        if top_pending:
-            out.append(top_item)
-        return out
-
-    def _locate(self, locator, cls: int, rank: int, was_top: bool):
-        """New (group, rank) of the member that held (cls, rank)."""
-        if was_top:
-            gidx, offset, _first = locator[(_TOP, cls, 1)]
-            return gidx, offset + 1
-        gidx, offset, first = locator[(_MULT, cls, rank % 2)]
-        return gidx, offset + (rank - first) // 2 + 1
-
-    def _remap_tracked(self, locator) -> None:
-        if not self._tracked:
-            return
-        # the member at the global top position is the last rank of the
-        # last group; it is tracked (promoted no later than last step)
-        top_cls = len(self._groups) - 1
-        top_rank = self._groups[top_cls][1]
-        remapped = []
-        for cls, rank, t in self._tracked:
-            was_top = cls == top_cls and rank == top_rank
-            remapped.append((*self._locate(locator, cls, rank, was_top), t))
-        self._tracked = remapped
-
-    def _promote(self) -> None:
-        """Record the current top member if it was never on top before."""
-        cls = len(self._groups) - 1
-        rank = self._groups[cls][1]
-        for c, r, _t in self._tracked:
-            if c == cls and r == rank:
-                return
-        self._tracked.append((cls, rank, self.step))
 
     # -- identity resolution ----------------------------------------------
 

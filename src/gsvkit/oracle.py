@@ -52,7 +52,6 @@ from .extractors import (
     threshold_extract,
     threshold_step,
 )
-from .fastmultibit import multibit_extract_fast
 from .model import SourceSpec, Strategy, Witness, rat, rat_str
 
 __all__ = [
@@ -132,16 +131,12 @@ class ExtractorTable:
         )
 
     @classmethod
-    def for_multibit(cls, psi: Witness, n: int, m: int, fast: bool = False) -> "ExtractorTable":
-        run = multibit_extract_fast if fast else multibit_extract_naive
-        table = cls(n, INDEX, lambda faces: int(run(psi, faces, m), 2), out_size=1 << m)
-        if fast:
-            return table
+    def for_multibit(cls, psi: Witness, n: int, m: int) -> "ExtractorTable":
         values = psi.values
         return cls(
             n,
             INDEX,
-            table.fn,
+            lambda faces: int(multibit_extract_naive(psi, faces, m), 2),
             out_size=1 << m,
             init=MultiBitState.initial(m),
             step=lambda st, f: multibit_step_naive(st, values[f]),

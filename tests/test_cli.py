@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, reproducibility, file outputs."""
 
 import json
+import sys
 
 from gsvkit.cli import main
 
@@ -87,6 +88,36 @@ def test_extract_long_bit_exp_walk_exits_0(tmp_path):
     assert json.loads(out.read_text())["bits"] in ("0", "1")
 
 
+def test_extract_transcript_over_the_digit_limit_exits_65(tmp_path, capsys):
+    # the exact z of this walk outgrows Python's int-to-str limit: a typed
+    # guard refuses the transcript and no file is written
+    out, tr = tmp_path / "res.json", tmp_path / "steps.csv"
+    assert run("extract", "--source", "e2", "--extractor", "bit-exp", "--n", "4000",
+               "--seed", "7", "--out", str(out), "--transcript", str(tr)) == 65
+    err = capsys.readouterr().err
+    assert "transcript z at step " in err
+    assert "over the int-to-str limit of 4300 digits" in err
+    assert "Exceeds the limit" not in err
+    assert not out.exists() and not tr.exists()
+
+
+def test_transcript_digit_guard_follows_the_interpreter_limit(tmp_path, capsys):
+    out, tr = tmp_path / "res.json", tmp_path / "steps.csv"
+    args = ("extract", "--source", "e2", "--extractor", "bit-exp", "--n", "1000",
+            "--seed", "7", "--out", str(out), "--transcript", str(tr))
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert run(*args) == 65
+        assert "over the int-to-str limit of 640 digits" in capsys.readouterr().err
+        assert not tr.exists()
+        sys.set_int_max_str_digits(0)  # no limit: every row is written
+        assert run(*args) == 0
+        assert len(tr.read_text().splitlines()) == 1001
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_extract_bits_do_not_depend_on_the_transcript(tmp_path):
     cases = [("threshold", "200", "1"), ("bit-exp", "200", "1"),
              ("multibit-naive", "60", "3"), ("multibit-fast", "60", "3")]
@@ -103,6 +134,21 @@ def test_extract_bits_do_not_depend_on_the_transcript(tmp_path):
             assert len(tr.read_text().splitlines()) == int(n) + 1
             seen.add((extractor, json.loads(plain.read_text())["bits"]))
     assert {("threshold", "0"), ("threshold", "1"), ("bit-exp", "0"), ("bit-exp", "1")} <= seen
+
+
+def test_extract_worst_case_refuses_multibit_extractors(capsys):
+    for extractor in ("multibit-naive", "multibit-fast"):
+        assert run("extract", "--source", "fair-coin", "--extractor", extractor,
+                   "--m", "2", "--n", "3", "--strategy", "worst-case") == 64
+        err = capsys.readouterr().err
+        assert err == "worst-case strategy needs a single-bit extractor (threshold, bit-exp)\n"
+
+
+def test_bias_refuses_multibit_extractors(capsys):
+    for extractor in ("multibit-naive", "multibit-fast"):
+        assert run("bias", "--source", "fair-coin", "--extractor", extractor,
+                   "--m", "2", "--n", "1..3") == 64
+        assert capsys.readouterr().err == "bias sweeps need a single-bit extractor\n"
 
 
 def test_extract_naive_width_guard_exits_65(capsys):
@@ -155,20 +201,3 @@ def test_bias_guard_exit(monkeypatch):
     monkeypatch.setenv("GSV_TREE_GUARD", "2")
     assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp",
                "--n", "4..6") == 65
-
-
-def test_bench_modes(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run("bench", "--n", "24", "--m", "3,4", "--reps", "2",
-               "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "impl,n,m,median_seconds,reps"
-    impls = {line.split(",")[0] for line in lines[1:]}
-    assert impls == {"naive", "fast"}
-    assert len(lines) == 1 + 4  # two impls x two widths
-
-    fast_only = tmp_path / "fast.csv"
-    assert run("bench", "--n", "50", "--m", "30", "--mode", "fast-only",
-               "--reps", "1", "--out", str(fast_only)) == 0
-    rows = fast_only.read_text().splitlines()[1:]
-    assert len(rows) == 1 and rows[0].startswith("fast,50,30,")

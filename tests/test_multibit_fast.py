@@ -1,4 +1,4 @@
-"""Grouped fast path vs the materialized reference, plus its list views."""
+"""Grouped fast path vs the materialized reference."""
 
 from fractions import Fraction as F
 from itertools import product
@@ -15,6 +15,7 @@ from gsvkit import (
     multibit_extract_naive,
     multibit_step_naive,
 )
+from gsvkit.fastmultibit import _MULT, _TOP
 
 PM = Witness([1, -1], "NK_PLUS")
 TIE = Witness([F(2, 3), -1, F(2, 3)], "NK")
@@ -66,32 +67,52 @@ def test_group_values_track_the_materialized_state():
         assert expanded == sorted(naive.z)
         values = [v for v, _c in fast.groups]
         assert values == sorted(set(values)), "groups are distinct and ascending"
+        assert sum(c for _v, c in fast.groups) == 1 << 6
+        assert fast.total_mass() == 1
 
 
-def test_list_views_invariants():
-    rng = Random(13)
-    wit = Witness([1, -1, F(1, 2)], "NK")
-    state = FastMultibitState(7)
-    assert state.never_top() == [(F(1, 128), 128)]
-    assert state.ever_top() == []
-    for step in range(1, 60):
-        state.advance(wit.values[rng.randrange(3)])
-        never = state.never_top()
-        ever = state.ever_top()
-        assert sum(c for _v, c in never) + len(ever) == 1 << 7
-        assert len(ever) <= step
-        assert state.total_mass() == 1
-        assert all(c > 0 for _v, c in never)
-        # first-top steps are recorded in promotion order
-        assert [t for _v, t in ever] == sorted(t for _v, t in ever)
+def _stable_order(state):
+    """Coordinate index at every position of the fast state's order."""
+    return [
+        state._resolve(k, rank)
+        for k, (_v, count) in enumerate(state.groups)
+        for rank in range(1, count + 1)
+    ]
 
 
-def test_first_promotion_is_step_one():
-    state = FastMultibitState(3)
-    state.advance(F(1, 2))
-    assert [t for _v, t in state.ever_top()] == [1]
-    # the promoted member holds the largest group value
-    assert state.ever_top()[0][0] == state.groups[-1][0]
+def _last_step_slices(state):
+    """(kind, source group) of each slice, per group of the last step record."""
+    record = state._records[-1]
+    groups, i = [], 1
+    for _ in range(record[0]):
+        n = record[i + 1]
+        groups.append([tuple(record[j : j + 2]) for j in range(i + 2, i + 2 + 5 * n, 5)])
+        i += 2 + 5 * n
+    return groups
+
+
+@pytest.mark.parametrize(
+    "m, faces, tie",
+    [
+        # step 2: a parity slice of group 0 and one of group 1 meet
+        (2, (0, 0), [(_MULT, 0), (_MULT, 1)]),
+        # step 2: the top's new value equals a multiplied value of the
+        # group below it and of its own group
+        (3, (0, 1), [(_MULT, 0), (_MULT, 1), (_TOP, 1)]),
+    ],
+    ids=["slice-ties-higher-group", "top-ties-multiplied"],
+)
+def test_value_ties_keep_the_stable_order(m, faces, tie):
+    # equal values join one group in the previous order: lower source
+    # group first, the balancing top member last
+    fast = FastMultibitState(m)
+    naive = MultiBitState.initial(m)
+    for f in faces:
+        fast.advance(PM.values[f])
+        naive = multibit_step_naive(naive, PM.values[f])
+        assert _stable_order(fast) == list(naive.order)
+    assert tie in _last_step_slices(fast)
+    assert multibit_extract_fast(PM, faces, m) == multibit_extract_naive(PM, faces, m)
 
 
 def test_zero_steps_are_identity():
