@@ -67,8 +67,21 @@ def test_group_values_track_the_materialized_state():
         assert expanded == sorted(naive.z)
         values = [v for v, _c in fast.groups]
         assert values == sorted(set(values)), "groups are distinct and ascending"
-        assert sum(c for _v, c in fast.groups) == 1 << 6
-        assert fast.total_mass() == 1
+
+
+def test_list_views_invariants():
+    # the (value, count) group list covers all 2^m coordinates with
+    # positive counts and keeps total mass 1 at every step
+    rng = Random(13)
+    wit = Witness([1, -1, F(1, 2)], "NK")
+    state = FastMultibitState(7)
+    assert state.groups == [(F(1, 128), 128)]
+    for _ in range(1, 60):
+        state.advance(wit.values[rng.randrange(3)])
+        groups = state.groups
+        assert sum(c for _v, c in groups) == 1 << 7
+        assert all(c > 0 for _v, c in groups)
+        assert state.total_mass() == 1
 
 
 def _stable_order(state):
