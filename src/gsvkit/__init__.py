@@ -27,6 +27,7 @@ from .errors import (
     EmptySupportError,
     EnumLimitError,
     EpsilonTooLargeError,
+    GroupLimitError,
     GsvError,
     GuardError,
     NoQualifyingDieError,

@@ -46,7 +46,8 @@ class TreeLimitError(GuardError):
 
 
 class EnumLimitError(GuardError):
-    """Too many strategy trees to enumerate exhaustively (ENUM_LIMIT)."""
+    """Too many output sets for the worst-case multi-bit error, which runs
+    one backward induction per set (ENUM_LIMIT)."""
 
     guard = "ENUM_LIMIT"
 
@@ -55,6 +56,13 @@ class OutputWidthError(GuardError):
     """Output width m exceeds the implementation's guard (M_LIMIT)."""
 
     guard = "M_LIMIT"
+
+
+class GroupLimitError(GuardError):
+    """A fast multi-bit step would make more value groups than its guard
+    (GROUP_LIMIT)."""
+
+    guard = "GROUP_LIMIT"
 
 
 class DigitLimitError(GuardError):

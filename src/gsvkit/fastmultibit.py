@@ -43,13 +43,16 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import OutputWidthError
+from .errors import GroupLimitError, OutputWidthError
 from .model import Witness, rat
 from .extractors import encode_index
 
-__all__ = ["FastMultibitState", "multibit_extract_fast", "FAST_WIDTH_GUARD"]
+__all__ = ["FastMultibitState", "multibit_extract_fast", "FAST_GROUP_GUARD", "FAST_WIDTH_GUARD"]
 
 FAST_WIDTH_GUARD = 62  # counts are stored as int64 in the step records
+# A step costs O(g log g) in the group count g, which grows polynomially
+# in n with an exponent that rises with |F|.
+FAST_GROUP_GUARD = 2**16
 
 _MULT, _TOP = 0, 1  # record kinds; the top member sorts last among ties
 
@@ -97,6 +100,9 @@ class FastMultibitState:
 
     def advance(self, psi_value) -> None:
         """Consume one witness value; O(g log g) exact arithmetic.
+
+        Raises GroupLimitError, leaving the state as it was, when the step
+        would make more than FAST_GROUP_GUARD groups.
 
         A value a/b multiplies the scale by 2b, so the numerators update
         in integers: N*(2b - a) at odd positions, N*(2b + a) at even
@@ -156,6 +162,11 @@ class FastMultibitState:
                 nslices += 1
             record[head : head + 2] = members, nslices
             new_groups.append((v, members))
+        if len(new_groups) > FAST_GROUP_GUARD:
+            raise GroupLimitError(
+                f"step {len(self._records) + 1} makes {len(new_groups)} groups, "
+                f"over the guard {FAST_GROUP_GUARD}"
+            )
         record[0] = len(new_groups)
 
         self._groups = new_groups

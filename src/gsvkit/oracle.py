@@ -4,28 +4,31 @@ The oracle answers, in exact rational arithmetic, the question every
 error bound quantifies over: across *all* adaptive die-picking
 strategies, how biased can a given extractor's output get?
 
-* :func:`exact_extremes` — backward induction over the depth-n game,
-  yielding the exact max/min expectation of a +/-1 extractor and the
-  strategies achieving them.
+* :func:`exact_extremes` — the exact max/min expectation of a +/-1
+  extractor and the strategies achieving them.
 * :func:`output_distribution` — exact forward distribution of the
   extractor output under a fixed strategy.
 * :func:`exact_multibit_error` — worst-case total-variation distance
-  from uniform for multi-bit outputs.  This is not a single backward
-  induction (the adversary optimizes a maximum of 2^m signed sums), so
-  the worst case is found by enumerating strategy trees under an explicit
-  guard, with exact fixed-strategy evaluation as the fallback.
+  from uniform for multi-bit outputs: the largest, over nonempty proper
+  output sets S, of the best strategy's Pr[out in S] minus |S|/2^m,
+  one backward induction per S under an explicit guard on the number of
+  sets, with exact fixed-strategy evaluation as the fallback.
 * :func:`greedy_plus_strategy` — the constructive adversary that turns a
   failure of the mean-variance ratio condition into extractor bias: at
   each node it picks a die whose mean gain on the conditional advantage
   beats epsilon times its variance.
 
-A node's value depends only on its depth and the extractor state there,
-so for tables with a stepper :func:`exact_extremes` and
-:func:`greedy_plus_strategy` run the induction once per distinct (depth,
-state) pair rather than once per history.  Their strategy trees share the
-subtrees of equal pairs: they are read-only DAGs that expand to the full
-|F|^n trees only when walked or serialised, which gives the same bytes.
-Tables without a stepper are keyed on the history.
+All worst-case questions share one engine.  A node's value depends only
+on its depth and the extractor state there, so a forward pass interns the
+distinct states of each depth (a table without a stepper uses its history
+as its state), a backward induction over those layers takes the max or
+min die expectation at every state, and one bottom-up builder makes the
+strategy trees.  Nodes with equal states share subtrees: the trees are
+read-only DAGs that expand to the full |F|^n trees only when walked or
+serialised, which gives the same bytes.  None of the four functions
+recurses, so the game depth is bounded by time and memory only;
+serialising a tree (``BiasReport.to_json``, ``Strategy.to_tree``) still
+recurses once per level.
 
 Everything is deterministic: die ties resolve to the smallest index.
 """
@@ -36,7 +39,6 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Sequence
 
 from .errors import EnumLimitError, NoQualifyingDieError, TreeLimitError
@@ -87,7 +89,7 @@ class ExtractorTable:
     state machines additionally expose (init, step, finish); tree walks
     thread that state down shared prefixes, which changes nothing about
     the outputs but avoids refolding every leaf from scratch.  States
-    must be hashable: the backward inductions memoise on them.
+    must be hashable: the oracle interns them per depth.
     """
 
     n: int
@@ -97,6 +99,10 @@ class ExtractorTable:
     init: object = None
     step: Callable | None = None
     finish: Callable | None = None
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("n must be nonnegative")
 
     def value(self, faces: tuple[int, ...]) -> int:
         return self.fn(faces)
@@ -146,8 +152,6 @@ class ExtractorTable:
     @classmethod
     def from_outputs(cls, n: int, num_faces: int, outputs: Sequence[int]) -> "ExtractorTable":
         """Explicit table; ``outputs`` indexed by the big-endian sequence."""
-        if len(outputs) != num_faces**n:
-            raise ValueError(f"need {num_faces**n} outputs for n={n}, |F|={num_faces}")
         table = tuple(outputs)
 
         def fn(faces: tuple[int, ...]) -> int:
@@ -156,7 +160,10 @@ class ExtractorTable:
                 idx = idx * num_faces + f
             return table[idx]
 
-        return cls(n, PM_ONE, fn)
+        ext = cls(n, PM_ONE, fn)  # rejects n < 0 before |F|^n is formed
+        if len(table) != num_faces**n:
+            raise ValueError(f"need {num_faces**n} outputs for n={n}, |F|={num_faces}")
+        return ext
 
 
 @dataclass(frozen=True)
@@ -190,27 +197,71 @@ def _check_tree_guard(spec: SourceSpec, n: int, guard: int | None) -> None:
         raise TreeLimitError(f"|F|^n = {spec.num_faces}^{n} exceeds the guard {limit}")
 
 
-def _node_key(ext: ExtractorTable) -> Callable[[tuple[int, ...], object], object]:
-    """The memo key of a game-tree node.
-
-    A node's value depends only on its depth and the extractor state
-    there, so tables with a stepper key on (depth, state) and equal
-    states share one backward induction.  Tables without a stepper have
-    nothing but the history to go on.
-    """
-    if ext.step is not None:
-        return lambda history, state: (len(history), state)
-    return lambda history, _state: history
-
-
-def _leaf_output(ext: ExtractorTable, history: tuple[int, ...], state) -> int:
-    return ext.finish(state) if ext.step is not None else ext.value(history)
-
-
-def _child_states(ext: ExtractorTable, state, nfaces: int) -> list:
+def _machine(ext: ExtractorTable) -> tuple[object, Callable, Callable]:
+    """(init, step, finish) of the table; without a stepper, the history."""
     if ext.step is None:
-        return [None] * nfaces
-    return [ext.step(state, f) for f in range(nfaces)]
+        return (), lambda history, f: history + (f,), ext.value
+    return ext.init, ext.step, ext.finish
+
+
+def _layers(ext: ExtractorTable, nfaces: int) -> tuple[list[list[list[int]]], list[int]]:
+    """Forward pass over the distinct extractor states of each depth.
+
+    Returns (kids, leaves): ``kids[t][i][f]`` is the index at depth t + 1
+    of the state that face f leads to from the i-th state at depth t (the
+    initial state is index 0 at depth 0), and ``leaves[i]`` is the output
+    at the i-th state at depth n.  Each distinct state steps each face
+    once.
+    """
+    init, step, finish = _machine(ext)
+    faces = range(nfaces)
+    layer = [init]
+    kids = []
+    for _ in range(ext.n):
+        index: dict = {}
+        kids.append([[index.setdefault(step(s, f), len(index)) for f in faces] for s in layer])
+        layer = list(index)
+    return kids, [finish(s) for s in layer]
+
+
+def _induct(spec: SourceSpec, kids, leaf_values: list, pick) -> tuple[list[list], list[list[int]]]:
+    """Backward induction over the layers of :func:`_layers`.
+
+    Each state is worth the ``pick`` (max or min) over dice of the
+    expected value of its children; both return the first extreme, so
+    ties go to the smallest die.  Returns (values, dies): ``values[t][i]``
+    for every depth t <= n and ``dies[t][i]``, the chosen die, for t < n.
+    """
+    dice = [die.probs for die in spec.dice]
+    values = [leaf_values]
+    dies = []
+    for layer in reversed(kids):
+        below = values[-1]
+        layer_values, layer_dies = [], []
+        for row in layer:
+            kid_values = [below[k] for k in row]
+            sums = [sum((p * v for p, v in zip(probs, kid_values)), Fraction(0)) for probs in dice]
+            die = pick(range(len(sums)), key=sums.__getitem__)
+            layer_values.append(sums[die])
+            layer_dies.append(die)
+        values.append(layer_values)
+        dies.append(layer_dies)
+    values.reverse()
+    dies.reverse()
+    return values, dies
+
+
+def _tree(labels: Sequence[str], kids, dies: list[list[int]], nleaves: int) -> dict:
+    """The strategy tree playing ``dies[t][i]`` at the i-th state of depth
+    t, built bottom-up from the ``nleaves`` leaves.  Nodes with equal
+    states share one subtree object, so the tree is a read-only DAG."""
+    below: list[dict] = [{}] * nleaves
+    for layer, layer_dies in zip(reversed(kids), reversed(dies)):
+        below = [
+            {"die": die, "children": {labels[f]: below[k] for f, k in enumerate(row)}}
+            for row, die in zip(layer, layer_dies)
+        ]
+    return below[0]
 
 
 def exact_extremes(spec: SourceSpec, ext: ExtractorTable, guard: int | None = None) -> BiasReport:
@@ -221,48 +272,22 @@ def exact_extremes(spec: SourceSpec, ext: ExtractorTable, guard: int | None = No
     children.  Ties pick the smallest die index, so the recorded strategy
     trees are canonical.
 
-    With a stepper the induction runs once per distinct (depth, state)
-    pair, and nodes with equal pairs return the same subtree objects: the
-    strategy trees are DAGs that expand to the full |F|^n trees only when
-    they are walked or serialised.  Treat them as read-only.
+    The induction runs once per distinct (depth, state) pair, and nodes
+    with equal pairs share subtree objects: the strategy trees are DAGs
+    that expand to the full |F|^n trees only when they are walked or
+    serialised.  Treat them as read-only.
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("exact_extremes needs a +/-1 extractor")
     _check_tree_guard(spec, ext.n, guard)
     labels = spec.face_labels
-    nfaces = spec.num_faces
-    key = _node_key(ext)
-    memo: dict = {}
-
-    def walk(history: tuple[int, ...], state):
-        node = key(history, state)
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if len(history) == ext.n:
-            leaf = Fraction(_leaf_output(ext, history, state))
-            got = leaf, leaf, {}, {}
-        else:
-            kids = [
-                walk(history + (f,), child)
-                for f, child in enumerate(_child_states(ext, state, nfaces))
-            ]
-            best_hi = best_lo = None
-            die_hi = die_lo = 0
-            for i, die in enumerate(spec.dice):
-                hi = sum((p * k[0] for p, k in zip(die.probs, kids)), Fraction(0))
-                lo = sum((p * k[1] for p, k in zip(die.probs, kids)), Fraction(0))
-                if best_hi is None or hi > best_hi:
-                    best_hi, die_hi = hi, i
-                if best_lo is None or lo < best_lo:
-                    best_lo, die_lo = lo, i
-            hi_tree = {"die": die_hi, "children": {labels[f]: kids[f][2] for f in range(nfaces)}}
-            lo_tree = {"die": die_lo, "children": {labels[f]: kids[f][3] for f in range(nfaces)}}
-            got = best_hi, best_lo, hi_tree, lo_tree
-        memo[node] = got
-        return got
-
-    hi, lo, hi_tree, lo_tree = walk((), ext.init)
+    kids, leaves = _layers(ext, spec.num_faces)
+    leaf_values = [Fraction(out) for out in leaves]
+    his, hi_dies = _induct(spec, kids, leaf_values, max)
+    los, lo_dies = _induct(spec, kids, leaf_values, min)
+    hi, lo = his[0][0], los[0][0]
+    hi_tree = _tree(labels, kids, hi_dies, len(leaves))
+    lo_tree = _tree(labels, kids, lo_dies, len(leaves))
     return BiasReport(
         max_expectation=hi,
         min_expectation=lo,
@@ -280,23 +305,23 @@ def output_distribution(
     """Exact distribution of Ext under the strategy; probabilities sum to 1.
 
     Zero-probability branches are pruned, so point-mass dice cost no more
-    than the sequences they can actually produce.
+    than the sequences they can actually produce.  Histories are walked
+    depth-first in order, with an explicit stack.
     """
     _check_tree_guard(spec, ext.n, guard)
+    init, step, finish = _machine(ext)
     dist: dict[int, Fraction] = {}
-    streamed = ext.step is not None
-
-    def walk(history: tuple[int, ...], prob: Fraction, state=ext.init) -> None:
+    stack = [((), Fraction(1), init)]
+    while stack:
+        history, prob, state = stack.pop()
         if len(history) == ext.n:
-            out = _leaf_output(ext, history, state)
+            out = finish(state)
             dist[out] = dist.get(out, Fraction(0)) + prob
-            return
+            continue
         die = spec.dice[strategy.choose(history)]
-        for f, p in enumerate(die.probs):
-            if p > 0:
-                walk(history + (f,), prob * p, ext.step(state, f) if streamed else None)
-
-    walk((), Fraction(1))
+        for f in reversed(range(len(die.probs))):
+            if die.probs[f] > 0:
+                stack.append((history + (f,), prob * die.probs[f], step(state, f)))
     return dist
 
 
@@ -311,47 +336,36 @@ def _tv_from_uniform(dist: dict[int, Fraction], out_size: int) -> Fraction:
     return (seen + missing) / 2
 
 
-def _all_histories(nfaces: int, n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    level: list[tuple[int, ...]] = [()]
-    for _ in range(n - 1):
-        level = [h + (f,) for h in level for f in range(nfaces)]
-        out.extend(level)
-    return out
-
-
 def exact_multibit_error(
     spec: SourceSpec,
     ext: ExtractorTable,
     strategy: Strategy | None = None,
-    enum_guard: int = DEFAULT_ENUM_GUARD,
     guard: int | None = None,
 ) -> Fraction:
     """Total-variation distance of the output from uniform.
 
     With ``strategy`` given: the exact distance under that strategy.
-    Without: the exact worst case over all strategies, by enumerating
-    every strategy tree (|D|^(number of internal nodes) of them); raises
-    EnumLimitError when that exceeds ``enum_guard`` — callers then fall
-    back to fixed-strategy mode.
+    Without: the exact worst case over all strategies.  The distance is
+    the largest Pr[out in S] - |S|/2^m over output sets S, so the worst
+    case is the largest, over nonempty proper S, of a max backward
+    induction on the leaf values 1[out in S], minus |S|/2^m.  Raises
+    EnumLimitError when the 2^(2^m) - 2 sets exceed DEFAULT_ENUM_GUARD;
+    callers then fall back to fixed-strategy mode.
     """
     if ext.output_kind != INDEX:
         raise ValueError("exact_multibit_error needs an index-output extractor")
     if strategy is not None:
         return _tv_from_uniform(output_distribution(spec, strategy, ext, guard), ext.out_size)
-    nodes = _all_histories(spec.num_faces, ext.n)
-    ndice = spec.num_dice
-    if ndice ** len(nodes) > enum_guard:
+    _check_tree_guard(spec, ext.n, guard)
+    if (1 << ext.out_size) - 2 > DEFAULT_ENUM_GUARD:
         raise EnumLimitError(
-            f"{ndice}^{len(nodes)} strategy trees exceed the guard {enum_guard}"
+            f"2^{ext.out_size} - 2 output sets exceed the guard {DEFAULT_ENUM_GUARD}"
         )
+    kids, leaves = _layers(ext, spec.num_faces)
     worst = Fraction(0)
-    for assignment in product(range(ndice), repeat=len(nodes)):
-        table = dict(zip(nodes, assignment))
-        strat = Strategy(lambda h, t=table: t[h], "enumerated")
-        tv = _tv_from_uniform(output_distribution(spec, strat, ext, guard), ext.out_size)
-        if tv > worst:
-            worst = tv
+    for s in range(1, (1 << ext.out_size) - 1):
+        values, _dies = _induct(spec, kids, [Fraction(s >> out & 1) for out in leaves], max)
+        worst = max(worst, values[0][0] - Fraction(s.bit_count(), ext.out_size))
     return worst
 
 
@@ -373,11 +387,11 @@ def greedy_plus_strategy(
     strategy's exact advantage then exceeds the guaranteed value by at
     least (eps/(1+eps)) * alpha * (1 - alpha).
 
-    Both the guaranteed values and the tree are computed once per
-    distinct (depth, state) pair when the table has a stepper; the
-    returned strategy's tree shares those subtrees and is read-only.  The
-    walk is depth-first in history order, so an error names the first
-    failing history, as a walk over every history would.
+    The guaranteed values come from one min induction on 0/1 leaves and
+    the die is picked once per distinct (depth, state) pair; the returned
+    strategy's tree shares the subtrees of equal pairs and is read-only.
+    An error names the first failing history in depth-first order, as a
+    walk over every history would.
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("greedy_plus_strategy needs a +/-1 extractor")
@@ -385,64 +399,39 @@ def greedy_plus_strategy(
     _check_tree_guard(spec, ext.n, guard)
     labels = spec.face_labels
     nfaces = spec.num_faces
+    kids, leaves = _layers(ext, nfaces)
+    adv, _dies = _induct(spec, kids, [Fraction(1 if out == 1 else 0) for out in leaves], min)
 
-    key = _node_key(ext)
-    # node key -> (guaranteed advantage, child states)
-    adv: dict = {}
-
-    def min_adv(history: tuple[int, ...], state) -> Fraction:
-        node = key(history, state)
-        got = adv.get(node)
-        if got is None:
-            if len(history) == ext.n:
-                out = Fraction(1) if _leaf_output(ext, history, state) == 1 else Fraction(0)
-                got = out, ()
-            else:
-                children = _child_states(ext, state, nfaces)
-                kids = [min_adv(history + (f,), child) for f, child in enumerate(children)]
-                out = min(
-                    sum((p * a for p, a in zip(die.probs, kids)), Fraction(0))
-                    for die in spec.dice
-                )
-                got = out, children
-            adv[node] = got
-        return got[0]
-
-    built: dict = {}
-
-    def build(history: tuple[int, ...], state) -> dict:
-        if len(history) == ext.n:
-            return {}
-        node = key(history, state)
-        got = built.get(node)
-        if got is not None:
-            return got
-        alpha, children = adv[node]
-        alphas = [adv[key(history + (f,), child)][0] for f, child in enumerate(children)]
-        chosen = None
+    def gain_die(alpha: Fraction, alphas: list[Fraction]) -> int | None:
         for i, die in enumerate(spec.dice):
             mean = sum((p * a for p, a in zip(die.probs, alphas)), Fraction(0))
             mean_gap = mean - alpha * sum(die.probs)
             second = sum((p * a * a for p, a in zip(die.probs, alphas)), Fraction(0))
             var = second - mean * mean
             if mean_gap >= eps * var:
-                chosen = i
-                break
-        if chosen is None:
-            raise NoQualifyingDieError(
-                f"no die satisfies the gain inequality at history {history}"
-            )
-        got = {
-            "die": chosen,
-            "children": {
-                labels[f]: build(history + (f,), child) for f, child in enumerate(children)
-            },
-        }
-        built[node] = got
-        return got
+                return i
+        return None
 
-    min_adv((), ext.init)
-    tree = build((), ext.init)
-    strategy = Strategy.from_tree(tree, labels)
+    dies = [
+        [gain_die(adv[t][i], [adv[t + 1][k] for k in row]) for i, row in enumerate(layer)]
+        for t, layer in enumerate(kids)
+    ]
+    if any(None in layer for layer in dies):
+        # Every interned state is reachable, so this depth-first walk meets
+        # a failing one; a state seen before heads a subtree already walked.
+        stack, seen = [((), 0)], set()
+        while True:
+            history, i = stack.pop()
+            t = len(history)
+            if (t, i) in seen:
+                continue
+            if dies[t][i] is None:
+                raise NoQualifyingDieError(
+                    f"no die satisfies the gain inequality at history {history}"
+                )
+            seen.add((t, i))
+            if t + 1 < ext.n:
+                stack.extend((history + (f,), kids[t][i][f]) for f in reversed(range(nfaces)))
+    strategy = Strategy.from_tree(_tree(labels, kids, dies, len(leaves)), labels)
     strategy.description = "greedy-plus"
     return strategy

@@ -3,6 +3,7 @@
 import json
 import sys
 
+import gsvkit.fastmultibit
 from gsvkit.cli import main
 
 
@@ -158,6 +159,16 @@ def test_extract_naive_width_guard_exits_65(capsys):
     assert "m=21" in err and "(20)" in err
 
 
+def test_extract_fast_group_guard_exits_65(monkeypatch, capsys):
+    monkeypatch.setattr(gsvkit.fastmultibit, "FAST_GROUP_GUARD", 3)
+    assert run("extract", "--source", "fair-coin", "--extractor", "multibit-fast",
+               "--n", "50", "--m", "8") == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("step ")
+    assert captured.err.endswith(" groups, over the guard 3\n")
+
+
 def test_extract_non_extractable_exits_2():
     assert run("extract", "--source", "e1", "--n", "4") == 2
 
@@ -201,3 +212,22 @@ def test_bias_guard_exit(monkeypatch):
     monkeypatch.setenv("GSV_TREE_GUARD", "2")
     assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp",
                "--n", "4..6") == 65
+
+
+def test_bias_rejects_negative_n(capsys):
+    for n in ("--n=-1", "--n=-2..1"):
+        assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp", n) == 64
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "n must be nonnegative\n")
+
+
+def test_bias_deep_one_face_game(tmp_path):
+    # a one-face source never trips the |F|^n guard, so the depth is only
+    # bounded by time: n = 2000 is past Python's recursion limit
+    source, table = tmp_path / "one.json", tmp_path / "table.json"
+    source.write_text(json.dumps({"faces": ["a"], "dice": [["1"]]}))
+    table.write_text(json.dumps({"n": 2000, "outputs": [1]}))
+    out = tmp_path / "bias.csv"
+    assert run("bias", "--source", str(source), "--extractor", str(table),
+               "--out", str(out)) == 0
+    assert out.read_text().splitlines() == ["n,bias", "2000,1"]

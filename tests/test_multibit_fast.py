@@ -6,8 +6,10 @@ from random import Random
 
 import pytest
 
+import gsvkit.fastmultibit
 from gsvkit import (
     FastMultibitState,
+    GroupLimitError,
     MultiBitState,
     OutputWidthError,
     Witness,
@@ -150,6 +152,20 @@ def test_width_guards():
     with pytest.raises(ValueError):
         FastMultibitState(0)
     FastMultibitState(62)  # constructs fine; counts fit int64
+
+
+def test_group_guard(monkeypatch):
+    monkeypatch.setattr(gsvkit.fastmultibit, "FAST_GROUP_GUARD", 3)
+    state = FastMultibitState(4)
+    state.advance(1)
+    state.advance(-1)
+    before = state.groups
+    with pytest.raises(GroupLimitError) as got:
+        state.advance(1)
+    assert str(got.value) == "step 3 makes 4 groups, over the guard 3"
+    assert got.value.guard == "GROUP_LIMIT"
+    assert state.groups == before
+    assert state.winner() == int(multibit_extract_naive(PM, (0, 1), 4), 2)
 
 
 def test_wide_state_never_materializes():

@@ -102,10 +102,9 @@ def test_tree_guard_env_override(monkeypatch):
 
 # -- history-walk references ---------------------------------------------------
 #
-# The oracle memoises its backward induction on (depth, extractor state).
-# These references walk every history and fold every leaf through
-# ``ext.value``, as the unmemoised induction did; outputs must agree byte
-# for byte.
+# The oracle runs its backward induction once per distinct (depth,
+# extractor state).  These references walk every history and fold every
+# leaf through ``ext.value``; outputs must agree byte for byte.
 
 
 def _extremes_by_history(spec, ext):
@@ -224,6 +223,25 @@ def test_oracle_cost_follows_distinct_states():
     )
 
 
+def test_deep_one_face_games():
+    # a one-face source never trips the |F|^n guard; no entry point may
+    # recurse once per depth
+    one = SourceSpec(("a",), [("1",)])
+    for table in (ExtractorTable.from_outputs(2000, 1, [1]), ExtractorTable.constant(2000, 1)):
+        report = exact_extremes(one, table)
+        assert (report.max_expectation, report.min_expectation, report.bias) == (1, 1, 1)
+        strategy = greedy_plus_strategy(one, table, F(1, 2))
+        assert strategy.choose((0,) * 1999) == 0
+        assert output_distribution(one, strategy, table) == {1: F(1)}
+
+
+def test_extractor_table_rejects_negative_n():
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        ExtractorTable.constant(-1, 1)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        ExtractorTable.from_outputs(-1, 2, [1])
+
+
 # -- forward distributions ---------------------------------------------------
 
 
@@ -261,23 +279,58 @@ def test_constant_output_tv():
 
 def test_e1_worst_tv_dominates_fixed_strategies():
     wit = Witness([-1, 1, 0, 0], "NK")
-    table = ExtractorTable.for_multibit(wit, 2, 1)
-    worst = exact_multibit_error(e1(), table)
-    for die in range(3):
-        fixed = exact_multibit_error(e1(), table, strategy=Strategy.constant(die))
-        assert worst >= fixed
-    # tossing only the hidden pair gives no kernel movement at all: the
-    # output collapses and the worst case is total
-    assert worst == F(1, 2)
+    # tossing only the dice whose faces have witness value 0 gives no
+    # kernel movement at all: the output collapses to one index and the
+    # worst case is 1 - 2^-m.  (3, 1) and (4, 2) are out of reach of an
+    # enumeration of strategy trees (3^21 and 3^85 of them).
+    for n, m in ((2, 1), (3, 1), (4, 2)):
+        table = ExtractorTable.for_multibit(wit, n, m)
+        worst = exact_multibit_error(e1(), table)
+        for die in range(3):
+            fixed = exact_multibit_error(e1(), table, strategy=Strategy.constant(die))
+            assert worst >= fixed
+        assert worst == 1 - F(1, 2**m)
 
 
 def test_enum_guard_raises_and_fixed_mode_works():
     wit = Witness([-1, 1, 0, 0], "NK")
-    table = ExtractorTable.for_multibit(wit, 2, 1)
-    with pytest.raises(EnumLimitError):
-        exact_multibit_error(e1(), table, enum_guard=2)
+    table = ExtractorTable.for_multibit(wit, 2, 5)
+    with pytest.raises(EnumLimitError) as got:
+        exact_multibit_error(e1(), table)
+    assert str(got.value) == "2^32 - 2 output sets exceed the guard 1000000"
     tv = exact_multibit_error(e1(), table, strategy=Strategy.constant(0))
     assert 0 <= tv <= 1
+
+
+def _worst_tv_by_enumeration(spec, ext):
+    """Worst-case TV over every strategy tree, one die per history shorter
+    than n: |D|^(number of such histories) fixed-strategy evaluations."""
+    histories = [h for t in range(ext.n) for h in product(range(spec.num_faces), repeat=t)]
+    worst = F(0)
+    for dice in product(range(spec.num_dice), repeat=len(histories)):
+        table = dict(zip(histories, dice))
+        strategy = Strategy(lambda h, t=table: t[h], "enumerated")
+        worst = max(worst, exact_multibit_error(spec, ext, strategy=strategy))
+    return worst
+
+
+def test_worst_tv_matches_strategy_enumeration():
+    rng = Random(7)
+    seen = set()
+    for k in range(30):
+        if k % 2:
+            spec, psi = random_zero_mean_spec(rng, rng.randint(2, 3), rng.randint(1, 3))
+        else:
+            spec = random_spec(rng, rng.randint(2, 3), rng.randint(1, 3))
+            psi = [rng.choice((1, -1, F(1, 2), F(-1, 3), 0)) for _ in range(spec.num_faces)]
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        while spec.num_dice ** sum(spec.num_faces**t for t in range(n)) > 3**7:
+            n -= 1
+        table = ExtractorTable.for_multibit(Witness(psi, "NK"), n, m)
+        worst = exact_multibit_error(spec, table)
+        assert worst == _worst_tv_by_enumeration(spec, table)
+        seen.add(worst == 0)
+    assert seen == {True, False}
 
 
 def test_multibit_table_fold_matches_its_stepper():
