@@ -77,7 +77,10 @@ def _resolve_strategy(spec: SourceSpec, arg: str, table: ExtractorTable | None) 
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text}: lo must not exceed hi")
+        return values
     return [int(part) for part in text.split(",")]
 
 

@@ -17,7 +17,9 @@ Each extractor has a one-shot fold over a face sequence
 and a ``Fraction`` stepper (``threshold_step``, ``bit_exp_step``,
 ``multibit_step_naive``).  The folds keep integer numerators over one
 fixed scale and are checked against the steppers, which stay the exact
-reference and drive the oracle's tree walks and the CLI transcript.
+reference and drive the CLI transcript.  The oracle's threshold and
+damped-walk tables step integers over the folds' scale; its multi-bit
+table steps ``multibit_step_naive``.
 
 Ordering convention for the multi-bit extractor: coordinates are kept in
 a stable order — sorted ascending by value, with ties keeping their

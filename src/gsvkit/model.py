@@ -331,18 +331,23 @@ class Strategy:
         return cls(choose, "tree")
 
     def to_tree(self, spec: SourceSpec, n: int) -> dict:
-        """Materialize the explicit depth-``n`` tree over ``spec``'s faces."""
+        """Materialize the explicit depth-``n`` tree over ``spec``'s faces.
 
-        def build(history: History) -> dict:
+        Histories are asked in depth-first order, with an explicit stack.
+        """
+        labels = spec.face_labels
+        tree: dict = {}
+        stack = [((), tree)]
+        while stack:
+            history, node = stack.pop()
             if len(history) == n:
-                return {}
-            die = self.choose(history)
-            children = {
-                spec.face_labels[f]: build(history + (f,)) for f in range(spec.num_faces)
-            }
-            return {"die": die, "children": children}
-
-        return build(())
+                continue
+            node["die"] = self.choose(history)
+            children = node["children"] = {label: {} for label in labels}
+            stack.extend(
+                (history + (f,), children[labels[f]]) for f in reversed(range(len(labels)))
+            )
+        return tree
 
 
 def sample_sequence(spec: SourceSpec, strategy: Strategy, n: int, seed: int) -> tuple[int, ...]:

@@ -25,10 +25,15 @@ as its state), a backward induction over those layers takes the max or
 min die expectation at every state, and one bottom-up builder makes the
 strategy trees.  Nodes with equal states share subtrees: the trees are
 read-only DAGs that expand to the full |F|^n trees only when walked or
-serialised, which gives the same bytes.  None of the four functions
-recurses, so the game depth is bounded by time and memory only;
-serialising a tree (``BiasReport.to_json``, ``Strategy.to_tree``) still
-recurses once per level.
+serialised, which gives the same bytes.  Nothing here recurses, tree
+serialisation included, so the game depth is bounded by time and memory
+only.
+
+The engine computes in integers.  With Q the lcm of the dice
+denominators, a die is the integer row P_f = p_f * Q, a value at depth t
+is a numerator over Q^(n-t) and a probability at depth t one over Q^t;
+the threshold and damped-walk tables step integer states.  Each answer
+becomes one ``Fraction`` at the root.
 
 Everything is deterministic: die ties resolve to the smallest index.
 """
@@ -39,20 +44,19 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import EnumLimitError, NoQualifyingDieError, TreeLimitError
 from .extractors import (
-    BitExpState,
     MultiBitState,
-    ThresholdState,
-    bit_exp_step,
+    _scaled,
+    _sign,
     bit_extract_exp,
     multibit_extract_naive,
     multibit_step_naive,
     threshold_bound_m,
     threshold_extract,
-    threshold_step,
 )
 from .model import SourceSpec, Strategy, Witness, rat, rat_str
 
@@ -90,6 +94,13 @@ class ExtractorTable:
     thread that state down shared prefixes, which changes nothing about
     the outputs but avoids refolding every leaf from scratch.  States
     must be hashable: the oracle interns them per depth.
+
+    The threshold and damped-walk states are integers over the witness
+    scale L of their folds.  Threshold: the int z * L, which stops moving
+    once a step starts at |z * L| >= M * L.  Damped walk: (N, D) with
+    z = N / D and D = (2L)^t at depth t; every step scales, a zero
+    witness value included, so equal z at equal depth is one state, as
+    for the ``Fraction`` steppers ``threshold_step`` and ``bit_exp_step``.
     """
 
     n: int
@@ -114,26 +125,33 @@ class ExtractorTable:
     @classmethod
     def for_threshold(cls, psi: Witness, epsilon, n: int) -> "ExtractorTable":
         eps = rat(epsilon)
-        values = psi.values
+        scale, nums = _scaled(psi)
+        bound = threshold_bound_m(eps) * scale
         return cls(
             n,
             PM_ONE,
             lambda faces: threshold_extract(psi, eps, faces),
-            init=ThresholdState.initial(threshold_bound_m(eps)),
-            step=lambda st, f: threshold_step(st, values[f]),
-            finish=lambda st: 1 if st.z >= 0 else -1,
+            init=0,
+            step=lambda z, f: z if abs(z) >= bound else z + nums[f],
+            finish=_sign,
         )
 
     @classmethod
     def for_bit_exp(cls, psi: Witness, n: int) -> "ExtractorTable":
-        values = psi.values
+        scale, nums = _scaled(psi)
+        scale2 = 2 * scale
+
+        def step(state: tuple[int, int], f: int) -> tuple[int, int]:
+            num, den = state
+            return scale2 * num + nums[f] * (den - abs(num)), den * scale2
+
         return cls(
             n,
             PM_ONE,
             lambda faces: bit_extract_exp(psi, faces),
-            init=BitExpState(),
-            step=lambda st, f: bit_exp_step(st, values[f]),
-            finish=lambda st: 1 if st.z >= 0 else -1,
+            init=(0, 1),
+            step=step,
+            finish=lambda state: _sign(state[0]),
         )
 
     @classmethod
@@ -188,7 +206,28 @@ class BiasReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2) + "\n"
+        """``json.dumps(self.to_jsonable(), indent=2) + "\\n"``, written with
+        an explicit stack so that trees of any depth serialise."""
+        out: list[str] = []
+        todo: list = [(self.to_jsonable(), 0)]  # (value, depth) or literal text
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            value, depth = item
+            if not isinstance(value, dict) or not value:
+                out.append(json.dumps(value))
+                continue
+            pad = "\n" + "  " * (depth + 1)
+            todo.append("\n" + "  " * depth + "}")
+            items = list(value.items())
+            for i in reversed(range(len(items))):
+                key, child = items[i]
+                todo.append((child, depth + 1))
+                todo.append(("," if i else "{") + pad + json.dumps(key) + ": ")
+        out.append("\n")
+        return "".join(out)
 
 
 def _check_tree_guard(spec: SourceSpec, n: int, guard: int | None) -> None:
@@ -224,26 +263,37 @@ def _layers(ext: ExtractorTable, nfaces: int) -> tuple[list[list[list[int]]], li
     return kids, [finish(s) for s in layer]
 
 
-def _induct(spec: SourceSpec, kids, leaf_values: list, pick) -> tuple[list[list], list[list[int]]]:
+def _die_rows(spec: SourceSpec) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(Q, rows): Q is the lcm of the dice denominators and ``rows[d]``
+    lists (f, P_f) with p_f = P_f / Q for the faces die d can show."""
+    q = lcm(*(p.denominator for die in spec.dice for p in die.probs))
+    rows = [
+        [(f, p.numerator * (q // p.denominator)) for f, p in enumerate(die.probs) if p]
+        for die in spec.dice
+    ]
+    return q, rows
+
+
+def _induct(rows, kids, leaf_values: list[int], pick) -> tuple[list[list[int]], list[list[int]]]:
     """Backward induction over the layers of :func:`_layers`.
 
-    Each state is worth the ``pick`` (max or min) over dice of the
+    ``rows`` are the dice of :func:`_die_rows` and ``leaf_values`` integers,
+    so a value at depth t is a numerator over Q^(n-t), one denominator per
+    depth.  Each state is worth the ``pick`` (max or min) over dice of the
     expected value of its children; both return the first extreme, so
     ties go to the smallest die.  Returns (values, dies): ``values[t][i]``
     for every depth t <= n and ``dies[t][i]``, the chosen die, for t < n.
     """
-    dice = [die.probs for die in spec.dice]
     values = [leaf_values]
     dies = []
     for layer in reversed(kids):
         below = values[-1]
         layer_values, layer_dies = [], []
-        for row in layer:
-            kid_values = [below[k] for k in row]
-            sums = [sum((p * v for p, v in zip(probs, kid_values)), Fraction(0)) for probs in dice]
-            die = pick(range(len(sums)), key=sums.__getitem__)
-            layer_values.append(sums[die])
-            layer_dies.append(die)
+        for kid in layer:
+            sums = [sum([p * below[kid[f]] for f, p in row]) for row in rows]
+            best = pick(sums)
+            layer_values.append(best)
+            layer_dies.append(sums.index(best))
         values.append(layer_values)
         dies.append(layer_dies)
     values.reverse()
@@ -281,11 +331,11 @@ def exact_extremes(spec: SourceSpec, ext: ExtractorTable, guard: int | None = No
         raise ValueError("exact_extremes needs a +/-1 extractor")
     _check_tree_guard(spec, ext.n, guard)
     labels = spec.face_labels
+    q, rows = _die_rows(spec)
     kids, leaves = _layers(ext, spec.num_faces)
-    leaf_values = [Fraction(out) for out in leaves]
-    his, hi_dies = _induct(spec, kids, leaf_values, max)
-    los, lo_dies = _induct(spec, kids, leaf_values, min)
-    hi, lo = his[0][0], los[0][0]
+    his, hi_dies = _induct(rows, kids, leaves, max)
+    los, lo_dies = _induct(rows, kids, leaves, min)
+    hi, lo = Fraction(his[0][0], q**ext.n), Fraction(los[0][0], q**ext.n)
     hi_tree = _tree(labels, kids, hi_dies, len(leaves))
     lo_tree = _tree(labels, kids, lo_dies, len(leaves))
     return BiasReport(
@@ -306,23 +356,25 @@ def output_distribution(
 
     Zero-probability branches are pruned, so point-mass dice cost no more
     than the sequences they can actually produce.  Histories are walked
-    depth-first in order, with an explicit stack.
+    depth-first in order, with an explicit stack; a probability at depth
+    t is an integer numerator over Q^t (Q as in :func:`_die_rows`).
     """
     _check_tree_guard(spec, ext.n, guard)
     init, step, finish = _machine(ext)
-    dist: dict[int, Fraction] = {}
-    stack = [((), Fraction(1), init)]
+    q, rows = _die_rows(spec)
+    pushes = [[(f, p) for f, p in reversed(row) if p > 0] for row in rows]
+    dist: dict[int, int] = {}
+    stack = [((), 1, init)]
     while stack:
         history, prob, state = stack.pop()
         if len(history) == ext.n:
             out = finish(state)
-            dist[out] = dist.get(out, Fraction(0)) + prob
+            dist[out] = dist.get(out, 0) + prob
             continue
-        die = spec.dice[strategy.choose(history)]
-        for f in reversed(range(len(die.probs))):
-            if die.probs[f] > 0:
-                stack.append((history + (f,), prob * die.probs[f], step(state, f)))
-    return dist
+        for f, p in pushes[strategy.choose(history)]:
+            stack.append((history + (f,), prob * p, step(state, f)))
+    scale = q**ext.n
+    return {out: Fraction(prob, scale) for out, prob in dist.items()}
 
 
 def expectation(dist: dict[int, Fraction]) -> Fraction:
@@ -361,12 +413,15 @@ def exact_multibit_error(
         raise EnumLimitError(
             f"2^{ext.out_size} - 2 output sets exceed the guard {DEFAULT_ENUM_GUARD}"
         )
+    q, rows = _die_rows(spec)
     kids, leaves = _layers(ext, spec.num_faces)
-    worst = Fraction(0)
+    scale = q**ext.n
+    # Pr[out in S] - |S|/2^m as a numerator over 2^m * Q^n
+    worst = 0
     for s in range(1, (1 << ext.out_size) - 1):
-        values, _dies = _induct(spec, kids, [Fraction(s >> out & 1) for out in leaves], max)
-        worst = max(worst, values[0][0] - Fraction(s.bit_count(), ext.out_size))
-    return worst
+        values, _dies = _induct(rows, kids, [s >> out & 1 for out in leaves], max)
+        worst = max(worst, values[0][0] * ext.out_size - s.bit_count() * scale)
+    return Fraction(worst, ext.out_size * scale)
 
 
 def greedy_plus_strategy(
@@ -396,26 +451,29 @@ def greedy_plus_strategy(
     if ext.output_kind != PM_ONE:
         raise ValueError("greedy_plus_strategy needs a +/-1 extractor")
     eps = rat(epsilon)
+    e_num, e_den = eps.numerator, eps.denominator
     _check_tree_guard(spec, ext.n, guard)
     labels = spec.face_labels
     nfaces = spec.num_faces
+    q, rows = _die_rows(spec)
+    masses = [sum(p for _f, p in row) for row in rows]
     kids, leaves = _layers(ext, nfaces)
-    adv, _dies = _induct(spec, kids, [Fraction(1 if out == 1 else 0) for out in leaves], min)
+    adv, _dies = _induct(rows, kids, [1 if out == 1 else 0 for out in leaves], min)
 
-    def gain_die(alpha: Fraction, alphas: list[Fraction]) -> int | None:
-        for i, die in enumerate(spec.dice):
-            mean = sum((p * a for p, a in zip(die.probs, alphas)), Fraction(0))
-            mean_gap = mean - alpha * sum(die.probs)
-            second = sum((p * a * a for p, a in zip(die.probs, alphas)), Fraction(0))
-            var = second - mean * mean
-            if mean_gap >= eps * var:
+    def gain_die(a: int, kid_adv: list[int], r: int) -> int | None:
+        # The gain inequality with alpha = a / (Q*r) and alpha(f) = A_f / r,
+        # multiplied through by e_den * Q^2 * r^2 > 0.
+        for i, row in enumerate(rows):
+            m1 = sum([p * kid_adv[f] for f, p in row])
+            m2 = sum([p * kid_adv[f] ** 2 for f, p in row])
+            if e_den * r * (q * m1 - a * masses[i]) >= e_num * (q * m2 - m1 * m1):
                 return i
         return None
 
-    dies = [
-        [gain_die(adv[t][i], [adv[t + 1][k] for k in row]) for i, row in enumerate(layer)]
-        for t, layer in enumerate(kids)
-    ]
+    dies = []
+    for t, layer in enumerate(kids):
+        here, below, r = adv[t], adv[t + 1], q ** (ext.n - t - 1)
+        dies.append([gain_die(here[i], [below[k] for k in kid], r) for i, kid in enumerate(layer)])
     if any(None in layer for layer in dies):
         # Every interned state is reachable, so this depth-first walk meets
         # a failing one; a state seen before heads a subtree already walked.

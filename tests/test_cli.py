@@ -221,6 +221,12 @@ def test_bias_rejects_negative_n(capsys):
         assert (captured.out, captured.err) == ("", "n must be nonnegative\n")
 
 
+def test_bias_rejects_empty_range(capsys):
+    assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp", "--n", "5..3") == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "empty range 5..3: lo must not exceed hi\n")
+
+
 def test_bias_deep_one_face_game(tmp_path):
     # a one-face source never trips the |F|^n guard, so the depth is only
     # bounded by time: n = 2000 is past Python's recursion limit

@@ -19,6 +19,13 @@ from gsvkit import (
     dual_certificate,
     mvr_witness,
 )
+from gsvkit.extractors import (
+    BitExpState,
+    ThresholdState,
+    bit_exp_step,
+    threshold_bound_m,
+    threshold_step,
+)
 from gsvkit.oracle import (
     BiasReport,
     ExtractorTable,
@@ -31,11 +38,14 @@ from gsvkit.oracle import (
 )
 from gsvkit.presets import e1, e2, fair_coin, sv_pair
 
-from specgen import random_hierarchical_spec, random_spec, random_zero_mean_spec
+from specgen import PSI_POOL, random_hierarchical_spec, random_spec, random_zero_mean_spec
 
 SV = sv_pair("1/4")
 PM = Witness([1, -1], "NK_PLUS")
 FIRST_BIT = ExtractorTable.from_outputs(1, 2, [1, -1])
+# the symmetric die and a lopsided zero-mean die, with an NK+ witness
+TWO_DIE = SourceSpec(("a", "b", "c", "d"), [("1/2", "1/2", "0", "0"), ("0", "0", "1/3", "2/3")])
+TWO_DIE_WIT = Witness([1, -1, 1, F(-1, 2)], "NK_PLUS")
 
 
 def _all_tables(num_faces: int, n: int):
@@ -200,6 +210,110 @@ def test_memoised_oracle_matches_history_walk():
     assert outcomes == {"built", "refused"}
 
 
+def _distribution_by_history(spec, strategy, ext):
+    dist = {}
+
+    def walk(history, prob):
+        if len(history) == ext.n:
+            out = ext.value(history)
+            dist[out] = dist.get(out, F(0)) + prob
+            return
+        for f, p in enumerate(spec.dice[strategy.choose(history)].probs):
+            if p > 0:
+                walk(history + (f,), prob * p)
+
+    walk((), F(1))
+    return dist
+
+
+def test_coprime_denominators_match_history_walk():
+    # the dice denominators 7, 11 and 13 share no factor, so the engine's
+    # common denominator Q = 1001 is a true lcm; one die skips a face
+    spec = SourceSpec(
+        ("x", "y", "z"), [("1/7", "2/7", "4/7"), ("3/11", "0", "8/11"), ("5/13", "6/13", "2/13")]
+    )
+    wit = Witness([1, F(-1, 2), F(1, 3)], "NK")
+    outcomes = set()
+    for n in range(5):
+        for table in (ExtractorTable.for_threshold(wit, F(1, 9), n),
+                      ExtractorTable.for_bit_exp(wit, n)):
+            report = exact_extremes(spec, table)
+            assert report.to_json() == _extremes_by_history(spec, table).to_json()
+            strategies = [report.max_strategy, report.min_strategy]
+            for eps in (F(1, 64), F(1, 8), F(2)):
+                try:
+                    want = json.dumps(_greedy_tree_by_history(spec, table, eps))
+                except NoQualifyingDieError as exc:
+                    with pytest.raises(NoQualifyingDieError) as got:
+                        greedy_plus_strategy(spec, table, eps)
+                    assert str(got.value) == str(exc)
+                    outcomes.add("refused")
+                    continue
+                strategy = greedy_plus_strategy(spec, table, eps)
+                assert json.dumps(strategy.to_tree(spec, n)) == want
+                strategies.append(strategy)
+                outcomes.add("built")
+            for strategy in strategies:
+                got = output_distribution(spec, strategy, table)
+                assert list(got.items()) == list(
+                    _distribution_by_history(spec, strategy, table).items()
+                )
+    assert outcomes == {"built", "refused"}
+
+
+def test_exact_values_beyond_the_history_walk():
+    # |F|^12 = 16,777,216 histories: out of the history walks' reach.  Both
+    # values were computed by the oracle when its values were Fraction sums
+    # over the Fraction steppers, and are pinned here.
+    eps = F(1, 16)
+    table = ExtractorTable.for_threshold(mvr_witness(e2(), eps), eps, 12)
+    assert exact_extremes(e2(), table).bias == F(233797674943, 371504185344)
+    table = ExtractorTable.for_bit_exp(TWO_DIE_WIT, 12)
+    assert exact_extremes(TWO_DIE, table).bias == F(1140451, 8503056)
+
+
+def test_integer_table_steppers_match_fraction_steppers():
+    # every face sequence up to n = 6: the integer states give the sign of
+    # the Fraction fold on every prefix and intern to exactly as many
+    # states per depth.  (1, -1, 1/2, 0) reaches z = 1/4 as (1, -1, 0) and
+    # as (1/2, 0, 0), so a damped-walk stepper that skipped zero values
+    # would count two states there.
+    rng = Random(29)
+    witnesses = [(1, -1, F(1, 2), 0)]
+    for k in range(10):
+        nfaces = rng.randint(2, 4)
+        if k % 2:
+            witnesses.append(random_zero_mean_spec(rng, nfaces, 1)[1])
+        else:
+            witnesses.append([rng.choice(PSI_POOL) for _ in range(nfaces)])
+    seen = set()
+    for k, psi in enumerate(witnesses):
+        wit = Witness(psi, "NK")
+        eps = (F(1, 2), F(1, 9), F(1, 16))[k % 3]
+        walks = (
+            (ExtractorTable.for_threshold(wit, eps, 6),
+             ThresholdState.initial(threshold_bound_m(eps)), threshold_step),
+            (ExtractorTable.for_bit_exp(wit, 6), BitExpState(), bit_exp_step),
+        )
+        for table, reference_init, reference_step in walks:
+            layer = [(table.init, reference_init)]
+            for _depth in range(6):
+                layer = [
+                    (table.step(state, f), reference_step(ref, v))
+                    for state, ref in layer
+                    for f, v in enumerate(wit.values)
+                ]
+                for state, ref in layer:
+                    assert table.finish(state) == (1 if ref.z >= 0 else -1)
+                    seen.add(getattr(ref, "frozen", False))
+                assert len({state for state, _ in layer}) == len({ref for _, ref in layer})
+        if 0 in wit.values:
+            seen.add("zero")
+        if len({v.denominator for v in wit.values if v}) > 1:
+            seen.add("mixed")
+    assert seen == {True, False, "zero", "mixed"}
+
+
 def test_oracle_cost_follows_distinct_states():
     # threshold on the E2 ratio witness: 474 distinct (depth, state) pairs
     # at n=10 against 1,398,101 tree nodes; every distinct internal state
@@ -225,7 +339,7 @@ def test_oracle_cost_follows_distinct_states():
 
 def test_deep_one_face_games():
     # a one-face source never trips the |F|^n guard; no entry point may
-    # recurse once per depth
+    # recurse once per depth, and neither may tree serialisation
     one = SourceSpec(("a",), [("1",)])
     for table in (ExtractorTable.from_outputs(2000, 1, [1]), ExtractorTable.constant(2000, 1)):
         report = exact_extremes(one, table)
@@ -233,6 +347,32 @@ def test_deep_one_face_games():
         strategy = greedy_plus_strategy(one, table, F(1, 2))
         assert strategy.choose((0,) * 1999) == 0
         assert output_distribution(one, strategy, table) == {1: F(1)}
+    text = report.to_json()
+    chain = "".join(
+        f'{{\n{"  " * (d + 1)}"die": 0,\n{"  " * (d + 1)}"children": {{\n{"  " * (d + 2)}"a": '
+        for d in range(1, 4000, 2)
+    )
+    assert text.startswith(f'{{\n  "max_expectation": "1",\n  "min_expectation": "1",\n'
+                           f'  "bias": "1",\n  "max_strategy": {chain}{{}}\n')
+    assert text.count('"die": 0') == 4000 and text.endswith("\n  }\n}\n")
+    tree = report.max_strategy.to_tree(one, 2000)
+    for _depth in range(2000):
+        assert list(tree) == ["die", "children"] and tree["die"] == 0
+        (tree,) = tree["children"].values()
+    assert tree == {}
+
+
+def test_bias_report_json_matches_json_dumps():
+    # the explicit-stack writer against the json module, on the seeded
+    # cases and on labels that need escaping
+    cases = list(_seeded_oracle_cases())
+    odd = SourceSpec(('say "hi"', "back\\slash", "caf\u00e9", "two\nlines"),
+                     [("1/4", "1/4", "1/4", "1/4"), ("1/2", "0", "0", "1/2")])
+    cases.append((odd, ExtractorTable.for_bit_exp(Witness([1, -1, F(1, 2), 0], "NK"), 2)))
+    cases.append((odd, ExtractorTable.constant(0, -1)))
+    for spec, table in cases:
+        report = exact_extremes(spec, table)
+        assert report.to_json() == json.dumps(report.to_jsonable(), indent=2) + "\n"
 
 
 def test_extractor_table_rejects_negative_n():
