@@ -313,11 +313,18 @@ def mvr_witness(spec: SourceSpec, epsilon) -> Witness:
     EpsilonTooLargeError — the guarantee only kicks in for small epsilon,
     and the operational threshold is this verified-or-reject contract.
     """
+    return _mvr_witness(spec, epsilon, None)
+
+
+def _mvr_witness(spec: SourceSpec, epsilon, hnk: bool | None) -> Witness:
+    """:func:`mvr_witness`, trusting ``hnk`` as the source's HNK verdict
+    (a classification report's) unless it is None."""
     eps = rat(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    ok, _cert = check_hnk(spec)
-    if not ok:
+    if hnk is None:
+        hnk, _cert = check_hnk(spec)
+    if not hnk:
         raise NotHnkError("source fails HNK; no ratio witness exists")
     values = _ratio_witness_values(
         spec, list(range(spec.num_faces)), list(range(spec.num_dice)), eps

@@ -26,7 +26,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import extractors as ex
-from .classify import Category, classify, mvr_witness
+from .classify import Category, _mvr_witness, classify
 from .errors import DigitLimitError, GsvError, GuardError, SpecFormatError
 from .fastmultibit import FastMultibitState, multibit_extract_fast
 from .model import SourceSpec, Strategy, Witness, rat, rat_str, sample_sequence, validate_source
@@ -58,7 +58,7 @@ def _load_validated(name: str) -> SourceSpec:
 def _auto_witness(spec: SourceSpec, report, epsilon) -> Witness:
     if report.category is Category.EXP_ERROR:
         return report.nk_plus_witness
-    return mvr_witness(spec, epsilon)
+    return _mvr_witness(spec, epsilon, report.hnk)
 
 
 def _resolve_strategy(spec: SourceSpec, arg: str, table: ExtractorTable | None) -> Strategy:
@@ -72,6 +72,19 @@ def _resolve_strategy(spec: SourceSpec, arg: str, table: ExtractorTable | None) 
     with open(arg, encoding="utf-8") as fh:
         tree = json.load(fh)
     return Strategy.from_tree(tree, spec.face_labels)
+
+
+def _load_table(path: str, num_faces: int) -> ExtractorTable:
+    """The table of an extractor table file, {"n": n, "outputs": [...]}
+    with JSON integers only (``type is int`` keeps out floats and bools)."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    outputs = doc.get("outputs") if isinstance(doc, dict) else None
+    if not isinstance(outputs, list) or any(type(x) is not int for x in [doc.get("n"), *outputs]):
+        raise SpecFormatError(
+            f'{path}: an extractor table is a JSON object {{"n": <int>, "outputs": [<int>, ...]}}'
+        )
+    return ExtractorTable.from_outputs(doc["n"], num_faces, outputs)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -110,25 +123,18 @@ def _pm1_bits(sign: int) -> str:
     return "1" if sign == 1 else "0"
 
 
-def _threshold_summaries(psi: Witness, epsilon, faces, m: int):
-    state = ex.ThresholdState.initial(ex.threshold_bound_m(epsilon))
-    for face in faces:
-        state = ex.threshold_step(state, psi.values[face])
-        yield state.z
+def _machine_summaries(machine: Callable) -> Callable:
+    """Transcript summaries from an integer state machine of
+    :mod:`gsvkit.extractors`: ``machine(psi, epsilon, m)`` gives its
+    (init, step, finish, z), and z after each step is yielded."""
 
+    def summaries(psi: Witness, epsilon, faces, m: int):
+        state, step, _finish, z = machine(psi, epsilon, m)
+        for face in faces:
+            state = step(state, face)
+            yield z(state)
 
-def _bit_exp_summaries(psi: Witness, epsilon, faces, m: int):
-    state = ex.BitExpState()
-    for face in faces:
-        state = ex.bit_exp_step(state, psi.values[face])
-        yield state.z
-
-
-def _naive_summaries(psi: Witness, epsilon, faces, m: int):
-    state = ex.MultiBitState.initial(m)
-    for face in faces:
-        state = ex.multibit_step_naive(state, psi.values[face])
-        yield state.z[state.order[-1]]
+    return summaries
 
 
 def _fast_summaries(psi: Witness, epsilon, faces, m: int):
@@ -145,8 +151,9 @@ class _Extractor(NamedTuple):
     ``table(psi, epsilon, n, m)`` the single-bit :class:`ExtractorTable`
     for the oracle (None for the multi-bit extractors, which the
     worst-case strategy and bias sweeps do not take), and
-    ``summaries(psi, epsilon, faces, m)`` the z summary after each step
-    for the transcript, from the ``Fraction`` steppers.  The entries name
+    ``summaries(psi, epsilon, faces, m)`` the exact z summary after each
+    step for the transcript: from the extractor's integer state machine,
+    or for ``multibit-fast`` from its grouped state.  The entries name
     library functions at call time, so a wrapper installed on a library
     function is seen here too.
     """
@@ -160,17 +167,17 @@ EXTRACTORS = {
     "threshold": _Extractor(
         lambda psi, eps, faces, m: _pm1_bits(ex.threshold_extract(psi, eps, faces)),
         lambda psi, eps, n, m: ExtractorTable.for_threshold(psi, eps, n),
-        _threshold_summaries,
+        _machine_summaries(lambda psi, eps, m: ex._threshold_machine(psi, eps)),
     ),
     "bit-exp": _Extractor(
         lambda psi, eps, faces, m: _pm1_bits(ex.bit_extract_exp(psi, faces)),
         lambda psi, eps, n, m: ExtractorTable.for_bit_exp(psi, n),
-        _bit_exp_summaries,
+        _machine_summaries(lambda psi, eps, m: ex._bit_exp_machine(psi)),
     ),
     "multibit-naive": _Extractor(
         lambda psi, eps, faces, m: ex.multibit_extract_naive(psi, faces, m),
         None,
-        _naive_summaries,
+        _machine_summaries(lambda psi, eps, m: ex._naive_machine(psi, m)),
     ),
     "multibit-fast": _Extractor(
         lambda psi, eps, faces, m: multibit_extract_fast(psi, faces, m),
@@ -224,8 +231,8 @@ def cmd_extract(args) -> int:
     if report.category is Category.NON_EXTRACTABLE:
         print("source is non-extractable", file=sys.stderr)
         return 2
-    epsilon = rat(args.epsilon)
     try:
+        epsilon = rat(args.epsilon)
         psi = _auto_witness(spec, report, epsilon)
         extractor = EXTRACTORS.get(args.extractor)
         if extractor is None:
@@ -270,9 +277,9 @@ def cmd_bias(args) -> int:
     except (SpecFormatError, OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
-    epsilon = rat(args.epsilon)
     rows: list[tuple[int, str]] = []
     try:
+        epsilon = rat(args.epsilon)
         if args.extractor in EXTRACTORS:
             report = classify(spec)
             if report.category is Category.NON_EXTRACTABLE:
@@ -286,16 +293,12 @@ def cmd_bias(args) -> int:
                 table = build(psi, epsilon, n, args.m)
                 rows.append((n, rat_str(exact_extremes(spec, table).bias)))
         else:
-            with open(args.extractor, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            table = ExtractorTable.from_outputs(
-                int(doc["n"]), spec.num_faces, [int(x) for x in doc["outputs"]]
-            )
+            table = _load_table(args.extractor, spec.num_faces)
             rows.append((table.n, rat_str(exact_extremes(spec, table).bias)))
     except GuardError as exc:
         print(exc, file=sys.stderr)
         return EXIT_GUARD
-    except (GsvError, OSError, ValueError, KeyError) as exc:
+    except (GsvError, OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
     buf = io.StringIO()

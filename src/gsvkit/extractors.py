@@ -8,18 +8,19 @@
 * multi-bit: run 2^m coupled martingales forming an exact probability
   vector; output the index of the largest coordinate as m bits.
 
-Extractors consume witness values, not faces; the face-to-value mapping
-happens at the entry points so the state machines are testable with
-synthetic value streams.  All state arithmetic is exact.
-
-Each extractor has a one-shot fold over a face sequence
-(``threshold_extract``, ``bit_extract_exp``, ``multibit_extract_naive``)
-and a ``Fraction`` stepper (``threshold_step``, ``bit_exp_step``,
-``multibit_step_naive``).  The folds keep integer numerators over one
-fixed scale and are checked against the steppers, which stay the exact
-reference and drive the CLI transcript.  The oracle's threshold and
-damped-walk tables step integers over the folds' scale; its multi-bit
-table steps ``multibit_step_naive``.
+Each extractor's step rule is written once, as an exact integer state
+machine built by a private factory that returns ``(init, step, finish, z)``:
+``step(state, face)`` gives the next state, ``finish(state)`` the output
+(a +/-1 sign or a coordinate index) and ``z(state)`` the exact
+``Fraction`` summary that the CLI transcript prints.  A state is a
+hashable integer or tuple of integers, and all states at one depth share
+one scale, so equal walks at equal depth are one state.  The one-shot folds
+(``threshold_extract``, ``bit_extract_exp``, ``multibit_extract_naive``),
+the oracle's ``ExtractorTable`` and the transcript all run these
+machines.  The ``Fraction`` steppers (``threshold_step``,
+``bit_exp_step``, ``multibit_step_naive``), which consume witness values
+rather than faces, are the exact reference the machines are tested
+against; no production path calls them.
 
 Ordering convention for the multi-bit extractor: coordinates are kept in
 a stable order — sorted ascending by value, with ties keeping their
@@ -34,8 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import groupby
 from math import isqrt, lcm
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import OutputWidthError
 from .model import Witness, rat
@@ -53,13 +57,7 @@ __all__ = [
     "threshold_step",
 ]
 
-NAIVE_WIDTH_GUARD = 20  # multibit_extract_naive materializes 2^m states
-
-
-def _psi_stream(psi: Witness, faces: Iterable[int]):
-    values = psi.values
-    for face in faces:
-        yield values[face]
+NAIVE_WIDTH_GUARD = 20  # the naive multi-bit state materializes 2^m coordinates
 
 
 def _sign(z: int) -> int:
@@ -118,23 +116,37 @@ def threshold_bound_m(epsilon) -> int:
     return max(m, 1)
 
 
+def _threshold_machine(psi: Witness, epsilon):
+    """(init, step, finish, z) of the threshold walk in integers.
+
+    The state is the int z * L, L the lcm of the witness denominators,
+    and a step that starts at |z * L| >= M * L leaves it as it is (the
+    freeze of :func:`threshold_step`).  sign(0) = +1.
+    """
+    scale, nums = _scaled(psi)
+    bound = threshold_bound_m(epsilon) * scale
+
+    def step(z: int, face: int) -> int:
+        return z if abs(z) >= bound else z + nums[face]
+
+    return 0, step, _sign, lambda z: Fraction(z, scale)
+
+
 def threshold_extract(psi: Witness, epsilon, faces: Sequence[int]) -> int:
     """Fold the threshold walk over the face sequence; sign of the sum.
 
     Returns +1 or -1, with sign(0) = +1 (the empty sequence gives +1).
-    The sum is kept as the integer z * L, where L is the lcm of the
-    witness denominators, and the walk stops at the first step that
-    starts with |z * L| >= M * L: the fold of :func:`threshold_step`,
-    which is its ``Fraction`` reference, in integers.
+    A frozen walk is a fixed point of every face's step, so the fold
+    stops at the first state that no face moves.
     """
-    scale, nums = _scaled(psi)
-    bound = threshold_bound_m(epsilon) * scale
-    z = 0
+    z, step, finish, _z = _threshold_machine(psi, epsilon)
+    every_face = range(len(psi.values))
     for face in faces:
-        if abs(z) >= bound:
+        moved = step(z, face)
+        if moved == z and all(step(z, f) == z for f in every_face):
             break
-        z += nums[face]
-    return _sign(z)
+        z = moved
+    return finish(z)
 
 
 # --------------------------------------------------------------------------
@@ -158,29 +170,33 @@ def bit_exp_step(state: BitExpState, psi_value) -> BitExpState:
     return BitExpState(z, state.steps + 1)
 
 
+def _bit_exp_machine(psi: Witness):
+    """(init, step, finish, z) of the damped walk in integers.
+
+    The state z = N / D is the pair (N, D).  With L the lcm of the witness
+    denominators and A = psi_f * L, a step is N <- 2L*N + A*(D - |N|) and
+    D <- 2L*D, a zero value included, so D = (2L)^t at depth t and equal
+    z at equal depth is one state.  sign(0) = +1.
+    """
+    scale, nums = _scaled(psi)
+    scale2 = 2 * scale
+
+    def step(state: tuple[int, int], face: int) -> tuple[int, int]:
+        num, den = state
+        return scale2 * num + nums[face] * (den - abs(num)), den * scale2
+
+    return (0, 1), step, lambda state: _sign(state[0]), lambda state: Fraction(*state)
+
+
 def bit_extract_exp(psi: Witness, faces: Sequence[int]) -> int:
     """Sign of the damped walk after consuming the sequence.
 
     The exponential error guarantee holds when ``psi`` has zero mean and
     positive variance under every die (an NK+ witness); the fold itself
     accepts any witness.  sign(0) = +1.
-
-    The state z = N / D is kept as two integers.  With L the lcm of the
-    witness denominators and A = psi_f * L, a step is
-    N <- 2L*N + A*(D - |N|) and D <- 2L*D, so D = (2L)^t after t steps
-    with a nonzero value (a zero value leaves z, N and D as they are).
-    This is the fold of :func:`bit_exp_step`, its ``Fraction``
-    reference, without a gcd per step.
     """
-    scale, nums = _scaled(psi)
-    scale2 = 2 * scale
-    num, den = 0, 1
-    for face in faces:
-        a = nums[face]
-        if a:
-            num = scale2 * num + a * (den - abs(num))
-            den *= scale2
-    return _sign(num)
+    init, step, finish, _z = _bit_exp_machine(psi)
+    return finish(reduce(step, faces, init))
 
 
 # --------------------------------------------------------------------------
@@ -246,22 +262,19 @@ def encode_index(index: int, m: int) -> str:
     return format(index, f"0{m}b")
 
 
-def multibit_extract_naive(psi: Witness, faces: Sequence[int], m: int) -> str:
-    """Materialized multi-bit extraction; returns m bits, big-endian.
+def _naive_machine(psi: Witness, m: int):
+    """(init, step, finish, z) of the 2^m coupled martingales in integers.
 
-    Internally the 2^m coordinates are bucketed by shared value (the
-    update only ever produces a handful of distinct values per step), but
-    every coordinate's state is followed individually — this is the
-    reference the grouped fast path is checked against.
-
-    Values are kept exact as integer numerators over one scale shared by
-    all coordinates.  At step t every coordinate has the denominator
-    D_t = 2^m * prod_s 2*b_s, where a_s/b_s is the (reduced) witness
-    value of step s: a step with value a/b multiplies every numerator N
-    by 2b - a (odd positions) or 2b + a (even positions), and the top
-    becomes N_top*2b - a*B with B the integer balancing sum.  Only
-    order and equality are ever read, and under one common denominator
-    those of N/D are those of N, so the scale itself is never formed.
+    The state is (order, groups): ``order`` lists the coordinates in the
+    stable order of :class:`MultiBitState` and ``groups`` the
+    (numerator, count) runs of equal value along it, ascending.  Every
+    numerator is over the scale 2^m * (2L)^t at depth t, L the lcm of the
+    witness denominators, and every step scales, a zero value included,
+    so equal vectors at equal depth are one state.  With A = psi_f * L, a
+    step multiplies the numerator at an odd position by 2L - A and at an
+    even one by 2L + A, and the top coordinate becomes N_top*2L - A*B,
+    B the integer balancing sum.  ``finish`` gives the top coordinate's
+    index and ``z`` its value; the numerators sum to the scale.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -269,63 +282,58 @@ def multibit_extract_naive(psi: Witness, faces: Sequence[int], m: int) -> str:
         raise OutputWidthError(
             f"m={m} exceeds the naive guard ({NAIVE_WIDTH_GUARD}); use the fast path"
         )
+    scale, nums = _scaled(psi)
+    scale2 = 2 * scale
     size = 1 << m
-    values: list[int] = [1]  # numerators over the shared scale D_t
-    vidx = [0] * size  # per-coordinate value id
-    order = list(range(size))
-    for psi_value in _psi_stream(psi, faces):
-        if psi_value == 0:
-            continue
-        a, b2 = psi_value.numerator, 2 * psi_value.denominator
-        low_f, high_f = b2 - a, b2 + a
-        # contiguous blocks of equal value in the sorted order
-        blocks: list[tuple[int, int]] = []  # (value id, block length)
-        prev, run = vidx[order[0]], 0
-        for coord in order:
-            if vidx[coord] == prev:
-                run += 1
-            else:
-                blocks.append((prev, run))
-                prev, run = vidx[coord], 1
-        blocks.append((prev, run))
-        # balancing amount over positions 1..M-1 and per-value update maps
-        balance = 0
-        low_of: dict[int, int] = {}
-        high_of: dict[int, int] = {}
-        pos = 1
-        for vid, length in blocks:
-            hi = min(pos + length - 1, size - 1)
-            if pos <= hi:
-                odd = (hi + 1) // 2 - pos // 2
-                even = (hi - pos + 1) - odd
-                balance += values[vid] * (even - odd)
-            low_of[vid] = values[vid] * low_f
-            high_of[vid] = values[vid] * high_f
-            pos += length
-        top_coord = order[-1]
-        top_value = values[vidx[top_coord]] * b2 - a * balance
-        new_values: list[int] = []
-        new_index: dict[int, int] = {}
 
-        def intern(v: int) -> int:
-            got = new_index.get(v)
-            if got is None:
-                got = len(new_values)
-                new_index[v] = got
-                new_values.append(v)
-            return got
+    def step(state, face: int):
+        order, groups = state
+        a = nums[face]
+        if not a:
+            return order, tuple((v * scale2, count) for v, count in groups)
+        low, high = scale2 - a, scale2 + a
+        # (value, group, kind, first, stop): the coordinates order[first:stop:2]
+        # move to value; kind 1 is the top coordinate, which sat highest
+        slices = []
+        balance = start = 0
+        top = len(groups) - 1
+        for k, (v, count) in enumerate(groups):
+            stop = start + count - (k == top)  # the top coordinate sits out
+            # order[i] sits at position i + 1: even i gets low, odd i high
+            even = start + (start & 1)
+            odd = even + 1 if even == start else start
+            if even < stop:
+                slices.append((v * low, k, 0, even, stop))
+                balance -= v * ((stop - even + 1) // 2)
+            if odd < stop:
+                slices.append((v * high, k, 0, odd, stop))
+                balance += v * ((stop - odd + 1) // 2)
+            start += count
+        slices.append((groups[top][0] * scale2 - a * balance, top, 1, size - 1, size))
+        # by value; equal values keep their previous order, the top last
+        slices.sort()
+        new_order: list[int] = []
+        new_groups = []
+        for v, run in groupby(slices, key=itemgetter(0)):
+            before = len(new_order)
+            for _v, _k, _kind, first, stop in run:
+                new_order += order[first:stop:2]
+            new_groups.append((v, len(new_order) - before))
+        return tuple(new_order), tuple(new_groups)
 
-        new_vidx = [0] * size
-        for j, coord in enumerate(order[:-1], start=1):
-            table = low_of if j % 2 == 1 else high_of
-            new_vidx[coord] = intern(table[vidx[coord]])
-        new_vidx[top_coord] = intern(top_value)
-        # stable re-sort: bucket by value rank, keeping the old order
-        by_value = {v: r for r, v in enumerate(sorted(new_values))}
-        rank_of = [by_value[v] for v in new_values]
-        buckets: list[list[int]] = [[] for _ in new_values]
-        for coord in order:
-            buckets[rank_of[new_vidx[coord]]].append(coord)
-        order = [coord for bucket in buckets for coord in bucket]
-        values, vidx = new_values, new_vidx
-    return encode_index(order[-1], m)
+    def z(state) -> Fraction:
+        groups = state[1]
+        return Fraction(groups[-1][0], sum(v * count for v, count in groups))
+
+    return (tuple(range(size)), ((1, size),)), step, lambda state: state[0][-1], z
+
+
+def multibit_extract_naive(psi: Witness, faces: Sequence[int], m: int) -> str:
+    """Materialized multi-bit extraction; returns m bits, big-endian.
+
+    Every coordinate's place in the stable order is followed individually
+    (equal values are stored once per run), which makes this the
+    reference the grouped fast path is checked against.
+    """
+    init, step, finish, _z = _naive_machine(psi, m)
+    return encode_index(finish(reduce(step, faces, init)), m)

@@ -32,8 +32,9 @@ only.
 The engine computes in integers.  With Q the lcm of the dice
 denominators, a die is the integer row P_f = p_f * Q, a value at depth t
 is a numerator over Q^(n-t) and a probability at depth t one over Q^t;
-the threshold and damped-walk tables step integer states.  Each answer
-becomes one ``Fraction`` at the root.
+the extractor tables step the integer state machines of
+:mod:`gsvkit.extractors`.  Each answer becomes one ``Fraction`` at the
+root.
 
 Everything is deterministic: die ties resolve to the smallest index.
 """
@@ -49,13 +50,11 @@ from typing import Callable, Sequence
 
 from .errors import EnumLimitError, NoQualifyingDieError, TreeLimitError
 from .extractors import (
-    MultiBitState,
-    _scaled,
-    _sign,
+    _bit_exp_machine,
+    _naive_machine,
+    _threshold_machine,
     bit_extract_exp,
     multibit_extract_naive,
-    multibit_step_naive,
-    threshold_bound_m,
     threshold_extract,
 )
 from .model import SourceSpec, Strategy, Witness, rat, rat_str
@@ -95,12 +94,10 @@ class ExtractorTable:
     the outputs but avoids refolding every leaf from scratch.  States
     must be hashable: the oracle interns them per depth.
 
-    The threshold and damped-walk states are integers over the witness
-    scale L of their folds.  Threshold: the int z * L, which stops moving
-    once a step starts at |z * L| >= M * L.  Damped walk: (N, D) with
-    z = N / D and D = (2L)^t at depth t; every step scales, a zero
-    witness value included, so equal z at equal depth is one state, as
-    for the ``Fraction`` steppers ``threshold_step`` and ``bit_exp_step``.
+    The threshold, damped-walk and multi-bit tables step the integer
+    state machines of :mod:`gsvkit.extractors`, which their folds ``fn``
+    run too.  All states at one depth share one scale, so equal walks at
+    equal depth are one state, as for the ``Fraction`` steppers.
     """
 
     n: int
@@ -125,47 +122,21 @@ class ExtractorTable:
     @classmethod
     def for_threshold(cls, psi: Witness, epsilon, n: int) -> "ExtractorTable":
         eps = rat(epsilon)
-        scale, nums = _scaled(psi)
-        bound = threshold_bound_m(eps) * scale
-        return cls(
-            n,
-            PM_ONE,
-            lambda faces: threshold_extract(psi, eps, faces),
-            init=0,
-            step=lambda z, f: z if abs(z) >= bound else z + nums[f],
-            finish=_sign,
-        )
+        init, step, finish, _z = _threshold_machine(psi, eps)
+        return cls(n, PM_ONE, lambda faces: threshold_extract(psi, eps, faces), 2,
+                   init, step, finish)
 
     @classmethod
     def for_bit_exp(cls, psi: Witness, n: int) -> "ExtractorTable":
-        scale, nums = _scaled(psi)
-        scale2 = 2 * scale
-
-        def step(state: tuple[int, int], f: int) -> tuple[int, int]:
-            num, den = state
-            return scale2 * num + nums[f] * (den - abs(num)), den * scale2
-
-        return cls(
-            n,
-            PM_ONE,
-            lambda faces: bit_extract_exp(psi, faces),
-            init=(0, 1),
-            step=step,
-            finish=lambda state: _sign(state[0]),
-        )
+        init, step, finish, _z = _bit_exp_machine(psi)
+        return cls(n, PM_ONE, lambda faces: bit_extract_exp(psi, faces), 2,
+                   init, step, finish)
 
     @classmethod
     def for_multibit(cls, psi: Witness, n: int, m: int) -> "ExtractorTable":
-        values = psi.values
-        return cls(
-            n,
-            INDEX,
-            lambda faces: int(multibit_extract_naive(psi, faces, m), 2),
-            out_size=1 << m,
-            init=MultiBitState.initial(m),
-            step=lambda st, f: multibit_step_naive(st, values[f]),
-            finish=lambda st: st.winner(),
-        )
+        init, step, finish, _z = _naive_machine(psi, m)
+        return cls(n, INDEX, lambda faces: int(multibit_extract_naive(psi, faces, m), 2),
+                   1 << m, init, step, finish)
 
     @classmethod
     def from_outputs(cls, n: int, num_faces: int, outputs: Sequence[int]) -> "ExtractorTable":
@@ -181,6 +152,9 @@ class ExtractorTable:
         ext = cls(n, PM_ONE, fn)  # rejects n < 0 before |F|^n is formed
         if len(table) != num_faces**n:
             raise ValueError(f"need {num_faces**n} outputs for n={n}, |F|={num_faces}")
+        bad = next((i for i, out in enumerate(table) if out not in (1, -1)), None)
+        if bad is not None:
+            raise ValueError(f"output {bad} is {table[bad]!r}, not +1 or -1")
         return ext
 
 

@@ -1,10 +1,24 @@
 """Command-line behavior: exit codes, reproducibility, file outputs."""
 
+import importlib
 import json
 import sys
+from fractions import Fraction as F
+from random import Random
 
 import gsvkit.fastmultibit
-from gsvkit.cli import main
+from gsvkit import (
+    BitExpState,
+    MultiBitState,
+    ThresholdState,
+    Witness,
+    bit_exp_step,
+    multibit_step_naive,
+    threshold_bound_m,
+    threshold_step,
+)
+from gsvkit.cli import EXTRACTORS, _transcript, main
+from gsvkit.model import rat_str
 
 
 def run(*argv) -> int:
@@ -237,3 +251,68 @@ def test_bias_deep_one_face_game(tmp_path):
     assert run("bias", "--source", str(source), "--extractor", str(table),
                "--out", str(out)) == 0
     assert out.read_text().splitlines() == ["n,bias", "2000,1"]
+
+
+def _reference_rows(extractor, psi, epsilon, faces, m):
+    """The transcript rows, with z from the Fraction steppers."""
+    if extractor == "threshold":
+        state, step = ThresholdState.initial(threshold_bound_m(epsilon)), threshold_step
+    elif extractor == "bit-exp":
+        state, step = BitExpState(), bit_exp_step
+    else:
+        state, step = MultiBitState.initial(m), multibit_step_naive
+    rows = ["step,face,psi_value,z_summary"]
+    for i, face in enumerate(faces, start=1):
+        state = step(state, psi.values[face])
+        z = state.z[state.order[-1]] if isinstance(state, MultiBitState) else state.z
+        rows.append(f"{i},{face},{rat_str(psi.values[face])},{rat_str(z)}")
+    return "".join(row + "\n" for row in rows)
+
+
+def test_transcripts_match_the_fraction_steppers():
+    # a zero value, mixed denominators and a threshold walk that freezes
+    rng = Random(13)
+    witnesses = [Witness([1, F(-1, 2), F(1, 3), 0], "NK"), Witness([1, -1], "NK"),
+                 Witness([F(1, 4), F(-2, 3), 0], "NK")]
+    for psi in witnesses:
+        for n in (0, 1, 9, 40):
+            faces = [rng.randrange(len(psi.values)) for _ in range(n)]
+            for name in EXTRACTORS:
+                m = rng.randint(1, 4)
+                got = _transcript(EXTRACTORS[name], psi, F(1, 4), faces, m)
+                assert got == _reference_rows(name, psi, F(1, 4), faces, m), (name, psi, faces)
+
+
+def test_unparsable_epsilon_exits_64(capsys):
+    assert run("extract", "--source", "fair-coin", "--epsilon", "0.5.5") == 64
+    assert capsys.readouterr().err == "cannot parse rational from '0.5.5'\n"
+    assert run("bias", "--source", "fair-coin", "--epsilon", "x") == 64
+    assert capsys.readouterr().err == "cannot parse rational from 'x'\n"
+
+
+def test_bias_rejects_malformed_extractor_tables(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    for doc in ([1], {"n": 1, "outputs": 5}, {"outputs": [1, -1]}, {"n": 1, "outputs": [1.5, -1]},
+                {"n": 1.0, "outputs": [1, -1]}, {"n": 1, "outputs": [True, -1]}):
+        table.write_text(json.dumps(doc))
+        assert run("bias", "--source", "fair-coin", "--extractor", str(table)) == 64
+        assert "an extractor table is a JSON object" in capsys.readouterr().err
+    table.write_text(json.dumps({"n": 1, "outputs": [5, 0]}))
+    assert run("bias", "--source", "fair-coin", "--extractor", str(table)) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "output 0 is 5, not +1 or -1\n")
+
+
+def test_bias_runs_check_hnk_once(monkeypatch):
+    # classify decides HNK; the ratio witness trusts its report
+    classify_module = importlib.import_module("gsvkit.classify")
+    check_hnk = classify_module.check_hnk
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return check_hnk(spec)
+
+    monkeypatch.setattr(classify_module, "check_hnk", counted)
+    assert run("bias", "--source", "e2", "--extractor", "threshold", "--n", "1..3") == 0
+    assert len(calls) == 1

@@ -26,6 +26,7 @@ from gsvkit import (
     threshold_extract,
     threshold_step,
 )
+from gsvkit.extractors import _naive_machine
 from gsvkit.presets import e2, fair_coin
 from specgen import random_zero_mean_spec
 
@@ -259,7 +260,7 @@ def test_multibit_extract_matches_step_fold():
             want = format(s.winner(), f"0{m}b")
             assert multibit_extract_naive(PM, faces, m) == want
     # mixed denominators and a zero entry: the shared integer scale of the
-    # bucketed path must order exactly as the Fraction fold does
+    # naive machine must order exactly as the Fraction fold does
     mixed = Witness([1, F(-1, 2), F(1, 3), 0], "NK")
     for faces in product(range(4), repeat=4):
         for m in (1, 2, 3):
@@ -268,6 +269,33 @@ def test_multibit_extract_matches_step_fold():
                 s = multibit_step_naive(s, mixed.values[f])
             want = format(s.winner(), f"0{m}b")
             assert multibit_extract_naive(mixed, faces, m) == want
+
+
+def _assert_machine_matches(wit, m):
+    init, step, finish, z = _naive_machine(wit, m)
+    layer = [(init, MultiBitState.initial(m))]
+    for _depth in range(5):
+        layer = [
+            (step(state, f), multibit_step_naive(ref, v))
+            for state, ref in layer
+            for f, v in enumerate(wit.values)
+        ]
+        for state, ref in layer:
+            assert finish(state) == ref.winner()
+            assert z(state) == ref.z[ref.order[-1]]
+        assert len({state for state, _ in layer}) == len({ref for _, ref in layer})
+
+
+def test_naive_machine_matches_multibit_state():
+    # every face sequence up to n = 5: the integer (order, groups) machine
+    # names the winner of the Fraction stepper on every prefix and interns
+    # to exactly as many states per depth.  At m = 1, (1, -1, 1/2, 0)
+    # reaches (3/8, 5/8) as (1, -1) and as (1/2, 0), so a machine whose
+    # zero steps did not scale would count two states there.
+    for psi in ([1, F(-1, 2), F(1, 3), 0], [1, -1, F(1, 2), 0]):
+        wit = Witness(psi, "NK")
+        for m in (1, 2, 3):
+            _assert_machine_matches(wit, m)
 
 
 def test_multibit_naive_guard():

@@ -382,6 +382,12 @@ def test_extractor_table_rejects_negative_n():
         ExtractorTable.from_outputs(-1, 2, [1])
 
 
+def test_from_outputs_names_the_first_output_that_is_not_a_sign():
+    with pytest.raises(ValueError, match="^output 2 is 0, not \\+1 or -1$"):
+        ExtractorTable.from_outputs(2, 2, [1, -1, 0, 3])
+    assert ExtractorTable.from_outputs(2, 2, [1, -1, -1, 1]).value((1, 1)) == 1
+
+
 # -- forward distributions ---------------------------------------------------
 
 
