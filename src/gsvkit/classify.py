@@ -36,7 +36,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
+from math import lcm
 
 from . import linalg
 from .errors import EmptySupportError, EpsilonTooLargeError, NotHnkError, SubsetLimitError
@@ -151,29 +152,45 @@ def _combine_positive_variance(spec, dice_idx, basis):
     """Combine per-die kernel vectors into one with positive variance
     under every listed die, or return None.
 
-    For each die we need some basis vector that is not constant on its
-    support; an integer combination with coefficients from
-    {1, ..., |D|+1} then works for some tuple, because for each die at
-    most one coefficient choice can collapse the combination to a
-    constant once the others are fixed.  The search is deterministic
-    (lexicographic with early exit) for reproducibility.
+    Each listed die picks the first basis vector that is not constant on
+    its support (None if it has none), and the result is the normalized
+    combination sum c_i * pick_i for the lexicographically first
+    coefficient tuple c in {1, ..., k+1}^k, k = len(dice_idx), under
+    which no listed die sees a constant on its support (for a die with
+    nonnegative entries, positive variance).
+
+    The tuple is fixed one coordinate at a time, each time to the
+    smallest value whose prefix has a completion.  Let last(d) be the
+    last pick that is not constant on die d's support.  Picks after
+    last(d) add a constant there, so die d is settled once coordinate
+    last(d) is fixed, and a prefix has a completion exactly when every
+    die it settles sees a non-constant.  Each die settled at a
+    coordinate rules out at most one of its k+1 values, so one is
+    always left.
     """
+    supports = [support(spec.dice[d]) for d in dice_idx]
     picks = []
-    for d in dice_idx:
-        supp = support(spec.dice[d])
+    for supp in supports:
         vec = next((b for b in basis if _nonconstant_on(b, supp)), None)
         if vec is None:
             return None
         picks.append(vec)
-    coeff_range = range(1, len(dice_idx) + 2)
-    nfaces = len(basis[0])
-    for coeffs in product(coeff_range, repeat=len(dice_idx)):
-        combo = tuple(
-            sum(c * vec[f] for c, vec in zip(coeffs, picks)) for f in range(nfaces)
-        )
-        if all(die_var(spec.dice[d], combo) > 0 for d in dice_idx):
-            return _normalized(combo)
-    return None  # unreachable by the counting argument; kept for safety
+    # one common denominator keeps the combination in integers; scaling
+    # by it changes neither constancy nor the normalized result
+    scale = lcm(*(v.denominator for vec in picks for v in vec))
+    int_picks = [[v.numerator * (scale // v.denominator) for v in vec] for vec in picks]
+    settled_at: list[list[frozenset[int]]] = [[] for _ in picks]
+    for supp in supports:
+        last = max(i for i, vec in enumerate(int_picks) if _nonconstant_on(vec, supp))
+        settled_at[last].append(supp)
+    combo = [0] * len(basis[0])
+    for vec, settled in zip(int_picks, settled_at):
+        for c in range(1, len(picks) + 2):
+            trial = [x + c * y for x, y in zip(combo, vec)]
+            if all(_nonconstant_on(trial, supp) for supp in settled):
+                combo = trial
+                break
+    return _normalized([Fraction(x) for x in combo])
 
 
 def check_nk_plus(spec: SourceSpec) -> tuple[bool, Witness | None]:
@@ -369,22 +386,30 @@ def _dual_certificate(spec: SourceSpec, basis) -> DualCertificate | None:
     supp = sorted(support(spec.dice[die_index]))
     if not supp:
         raise EmptySupportError(f"die {die_index} has no face with positive probability")
-    # columns are the dice pmfs; unknowns are the beta coefficients
+    # columns are the dice pmfs; unknowns are the beta coefficients.  The
+    # canonical solution (free variables 0) is linear in the target, so
+    # with y(f) solving e_f - e_f0 for f0 = supp[0], the pair (f*, f_low)
+    # has beta = y(f*) - y(f_low): one elimination answers every pair.
     mat = [[spec.dice[d].probs[f] for d in range(spec.num_dice)] for f in range(spec.num_faces)]
+    f0 = supp[0]
+    targets = [[int(f == f_star) - int(f == f0) for f in range(spec.num_faces)] for f_star in supp]
+    ys = linalg.solve(mat, targets)
+    if None in ys:  # impossible for the qualifying die
+        raise RuntimeError("indicator difference left the pmf span")
+    # weights compare in integers, over the common denominator of every y
+    scale = lcm(*(b.denominator for y in ys for b in y))
+    ints = [[b.numerator * (scale // b.denominator) for b in y] for y in ys]
     best = None
-    for f_star in supp:
-        for f_low in supp:
-            target = [Fraction(0)] * spec.num_faces
-            target[f_star] += 1
-            target[f_low] -= 1
-            beta = linalg.solve(mat, target)
-            if beta is None:  # impossible for the qualifying die
-                raise RuntimeError("indicator difference left the pmf span")
-            weight = sum(abs(b) for b in beta)
+    for i, y_star in enumerate(ints):
+        for j, y_low in enumerate(ints):
+            weight = sum(abs(a - b) for a, b in zip(y_star, y_low))
             if best is None or weight > best[0]:
-                best = (weight, f_star, f_low, beta)
-    weight, f_star, f_low, beta = best
-    return DualCertificate(die_index, f_star, f_low, tuple(beta), weight * weight)
+                best = (weight, i, j)
+    weight, i, j = best
+    beta = tuple(Fraction(a - b, scale) for a, b in zip(ints[i], ints[j]))
+    return DualCertificate(
+        die_index, supp[i], supp[j], beta, Fraction(weight, scale) ** 2
+    )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -53,13 +54,18 @@ def rat(value) -> Fraction:
     """Convert ``value`` to an exact Fraction.
 
     Accepts Fractions, ints, and strings ("3/4", "0.25", "2"); rejects
-    binary floats outright since they silently corrupt exactness.
+    binary floats outright since they silently corrupt exactness, and
+    booleans, which are ints to Python but not numbers in a source.
     """
     if isinstance(value, float):
         raise SpecFormatError(
             f"refusing float {value!r}: use a 'p/q' or decimal string for exact input"
         )
-    if isinstance(value, (Fraction, int)):
+    if isinstance(value, bool):
+        raise SpecFormatError(f"refusing boolean {value!r}: a rational is an int or a string")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -136,8 +142,16 @@ class SourceSpec:
             raise SpecFormatError(f"bad source JSON: {exc}") from exc
         if not isinstance(doc, dict) or "faces" not in doc or "dice" not in doc:
             raise SpecFormatError('source JSON must be {"faces": [...], "dice": [[...], ...]}')
+        faces, dice = doc["faces"], doc["dice"]
+        if not isinstance(faces, list):
+            raise SpecFormatError(f'"faces" must be an array of labels, got {json.dumps(faces)}')
+        if not isinstance(dice, list):
+            raise SpecFormatError(f'"dice" must be an array of arrays, got {json.dumps(dice)}')
+        for i, row in enumerate(dice):
+            if not isinstance(row, list):
+                raise SpecFormatError(f"die {i} must be an array, got {json.dumps(row)}")
         try:
-            return cls(doc["faces"], [Die(row) for row in doc["dice"]])
+            return cls(faces, [Die(row) for row in dice])
         except (TypeError, ValueError) as exc:
             raise SpecFormatError(str(exc)) from exc
 
@@ -203,22 +217,39 @@ def _values_of(psi) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in psi)
 
 
-def die_mean(die: Die, psi) -> Fraction:
-    """Exact expectation of psi under the die's distribution."""
+def _scaled_terms(die: Die, psi) -> tuple[list[int], list[int], int, int]:
+    """(P*p for each probability p, V*v for each value v, P, V) in
+    integers, where P and V are the lcms of the probabilities' and the
+    values' denominators."""
     values = _values_of(psi)
     if len(values) != die.arity:
         raise DimensionError(f"witness has {len(values)} values, die has {die.arity} faces")
-    return sum((p * v for p, v in zip(die.probs, values)), Fraction(0))
+    p_scale = lcm(*(p.denominator for p in die.probs))
+    v_scale = lcm(*(v.denominator for v in values))
+    probs = [p.numerator * (p_scale // p.denominator) for p in die.probs]
+    vals = [v.numerator * (v_scale // v.denominator) for v in values]
+    return probs, vals, p_scale, v_scale
+
+
+def die_mean(die: Die, psi) -> Fraction:
+    """Exact expectation of psi under the die's distribution."""
+    probs, vals, p_scale, v_scale = _scaled_terms(die, psi)
+    return Fraction(sum(p * v for p, v in zip(probs, vals)), p_scale * v_scale)
 
 
 def die_var(die: Die, psi) -> Fraction:
-    """Exact variance of psi under the die's distribution."""
-    values = _values_of(psi)
-    if len(values) != die.arity:
-        raise DimensionError(f"witness has {len(values)} values, die has {die.arity} faces")
-    mean = sum((p * v for p, v in zip(die.probs, values)), Fraction(0))
-    second = sum((p * v * v for p, v in zip(die.probs, values)), Fraction(0))
-    return second - mean * mean
+    """Exact variance of psi under the die's distribution.
+
+    One pass in integers: with S1 = sum P*p * V*v and S2 = sum P*p * (V*v)^2,
+    the variance S2/(P V^2) - (S1/(P V))^2 is (P*S2 - S1^2) / (P V)^2.
+    """
+    probs, vals, p_scale, v_scale = _scaled_terms(die, psi)
+    first = second = 0
+    for p, v in zip(probs, vals):
+        pv = p * v
+        first += pv
+        second += pv * v
+    return Fraction(p_scale * second - first * first, (p_scale * v_scale) ** 2)
 
 
 def support(die: Die) -> frozenset[int]:

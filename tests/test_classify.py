@@ -1,7 +1,9 @@
 """Classifier: kernels, the three conditions, witnesses, certificates."""
 
+import sys
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -27,7 +29,13 @@ from gsvkit import (
     mvr_witness,
     support,
 )
-from gsvkit import linalg
+from gsvkit import linalg, validate_source
+from gsvkit.classify import (
+    _combine_positive_variance,
+    _dual_certificate,
+    _nonconstant_on,
+    _normalized,
+)
 from gsvkit.presets import PRESETS, e1, e2, fair_coin, hidden_sv, sv_pair
 
 from specgen import random_hierarchical_spec, random_spec, random_zero_mean_spec
@@ -113,6 +121,79 @@ def test_nk_plus_witness_contract():
             assert die_var(die, w) > 0
         assert w.min_variance == min(die_var(d, w) for d in spec.dice)
         assert max(abs(v) for v in w.values) == 1
+
+
+def _combine_by_product_search(spec, dice_idx, basis):
+    """Reference: walk every coefficient tuple in {1, ..., k+1}^k in
+    lexicographic order; returns (witness, tuple) or (None, None)."""
+    picks = []
+    for d in dice_idx:
+        vec = next((b for b in basis if _nonconstant_on(b, support(spec.dice[d]))), None)
+        if vec is None:
+            return None, None
+        picks.append(vec)
+    nfaces = len(basis[0])
+    for coeffs in product(range(1, len(dice_idx) + 2), repeat=len(dice_idx)):
+        combo = tuple(sum(c * vec[f] for c, vec in zip(coeffs, picks)) for f in range(nfaces))
+        if all(die_var(spec.dice[d], combo) > 0 for d in dice_idx):
+            return _normalized(combo), coeffs
+    return None, None
+
+
+def _corpus_specs(seeds):
+    """The classify-corpus benchmark's generated sources."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    for seed in seeds:
+        texts, _jobs = workloads.build("classify-corpus", seed)
+        yield from (SourceSpec.from_json(text) for text in texts.values())
+
+
+def _sparse_spec_and_basis(rng):
+    """Two-face supports and small integer vectors, so that sums of picks
+    often turn constant on a support and the search must go past (1, ..., 1)."""
+    while True:
+        nfaces, ndice = rng.randint(3, 4), rng.randint(3, 5)
+        dice = []
+        for _ in range(ndice):
+            supp = rng.sample(range(nfaces), 2)
+            weights = [rng.randint(1, 3) if f in supp else 0 for f in range(nfaces)]
+            dice.append([F(w, sum(weights)) for w in weights])
+        spec = SourceSpec([f"f{i}" for i in range(nfaces)], dice)
+        if validate_source(spec).ok:
+            break
+    basis = [
+        tuple(F(rng.choice([0, 1, -1, 2])) for _ in range(nfaces))
+        for _ in range(rng.randint(2, 3))
+    ]
+    return spec, basis
+
+
+def test_nk_plus_combination_matches_product_search():
+    rng = Random(47)
+    specs = list(_corpus_specs(range(20)))
+    for i in range(1560):
+        if i % 3 == 0:
+            specs.append(random_spec(rng, rng.randint(1, 6), rng.randint(1, 7)))
+        elif i % 3 == 1:
+            specs.append(random_zero_mean_spec(rng, rng.randint(2, 7), rng.randint(1, 8))[0])
+        else:
+            specs.append(random_hierarchical_spec(rng))
+    cases = [(spec, kernel_basis(spec).basis) for spec in specs]
+    assert len(cases) >= 3000
+    cases += [_sparse_spec_and_basis(rng) for _ in range(1000)]
+    outcomes = set()
+    for spec, basis in cases:
+        if not basis:
+            continue
+        dice_idx = list(range(spec.num_dice))
+        expected, coeffs = _combine_by_product_search(spec, dice_idx, basis)
+        assert _combine_positive_variance(spec, dice_idx, basis) == expected
+        outcomes.add("none" if coeffs is None else "ones" if set(coeffs) == {1} else "later")
+    assert outcomes == {"none", "ones", "later"}
 
 
 def test_hnk_e1_certificate():
@@ -283,6 +364,60 @@ def test_dual_identity_on_random_failing_specs():
             lhs = indicator[cert.f_star] - indicator[cert.f_low]
             rhs = sum(b * die_mean(d, indicator) for b, d in zip(cert.beta, spec.dice))
             assert lhs == rhs
+
+
+def _dual_by_pairs(spec, basis):
+    """Reference: one solve per ordered face pair of the first die whose
+    support sees only constant kernel directions."""
+    die = next(
+        (d for d in range(spec.num_dice)
+         if not any(_nonconstant_on(b, support(spec.dice[d])) for b in basis)),
+        None,
+    )
+    if die is None:
+        return None
+    mat = [[spec.dice[d].probs[f] for d in range(spec.num_dice)] for f in range(spec.num_faces)]
+    best = None
+    for f_star in sorted(support(spec.dice[die])):
+        for f_low in sorted(support(spec.dice[die])):
+            target = [F(int(f == f_star) - int(f == f_low)) for f in range(spec.num_faces)]
+            beta = linalg.solve(mat, target)
+            weight = sum(abs(b) for b in beta)
+            if best is None or weight > best[0]:
+                best = (weight, f_star, f_low, beta)
+    weight, f_star, f_low, beta = best
+    return (die, f_star, f_low, beta, weight * weight)
+
+
+def test_dual_certificate_matches_one_solve_per_pair():
+    rng = Random(53)
+    specs = [e1(), SV, hidden_sv(), sv_pair("1/8"), e2()]
+    while len(specs) < 205:
+        spec = random_spec(rng, rng.randint(2, 6), rng.randint(2, 8))
+        if not check_nk_plus(spec)[0]:
+            specs.append(spec)
+    for spec in specs:
+        basis = kernel_basis(spec).basis
+        cert = _dual_certificate(spec, basis)
+        expected = _dual_by_pairs(spec, basis)
+        assert (cert.die, cert.f_star, cert.f_low, cert.beta, cert.constant) == expected
+
+
+def test_dual_certificate_eliminates_once(monkeypatch):
+    eliminate = linalg._eliminate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    for spec in (e1(), SV, hidden_sv(), random_spec(Random(59), 6, 8)):
+        basis = kernel_basis(spec).basis
+        calls.clear()
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        assert _dual_certificate(spec, basis) is not None
+        monkeypatch.undo()
+        assert len(calls) == 1
 
 
 def test_dual_certificate_names_an_empty_die():

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction as F
 from random import Random
 
+import pytest
+
 import gsvkit.fastmultibit
 from gsvkit import (
     BitExpState,
@@ -49,6 +51,19 @@ def test_classify_bad_inputs(tmp_path, capsys):
     assert run("classify", "--source", str(bad)) == 64
     assert "SUM_NOT_ONE" in capsys.readouterr().err
     assert run("classify", "--source", str(tmp_path / "missing.json")) == 64
+
+
+@pytest.mark.parametrize("doc, named", [
+    ('{"faces": ["a", "b"], "dice": [[true, false], [false, true]]}', "boolean True"),
+    ('{"faces": "ab", "dice": [["1/2", "1/2"]]}', '"faces" must be an array of labels, got "ab"'),
+    ('{"faces": ["a", "b"], "dice": "xx"}', '"dice" must be an array of arrays, got "xx"'),
+    ('{"faces": ["a", "b"], "dice": ["xx"]}', 'die 0 must be an array, got "xx"'),
+])
+def test_classify_rejects_malformed_source_documents(tmp_path, capsys, doc, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    assert run("classify", "--source", str(bad)) == 64
+    assert named in capsys.readouterr().err
 
 
 def test_extract_reproducible(tmp_path):

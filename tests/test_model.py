@@ -42,6 +42,12 @@ def test_rat_rejects_floats_and_garbage():
         rat("1/0")
 
 
+def test_rat_rejects_booleans():
+    for value in (True, False):
+        with pytest.raises(SpecFormatError, match=f"boolean {value}"):
+            rat(value)
+
+
 def test_die_mean_examples():
     assert die_mean(Die(["1/3", "2/3"]), [-1, 1]) == F(1, 3)
     assert die_mean(Die(["1/2", "1/2"]), [-1, 1]) == 0
@@ -53,6 +59,20 @@ def test_die_var_examples():
     assert die_var(Die(["1/3", "2/3"]), [-1, 1]) == F(8, 9)
     assert die_var(Die([1, 0]), [-1, 1]) == 0
     assert die_var(Die(["1/2", "1/2", 0, 0]), [-1, 1, 0, 0]) == 1
+
+
+def test_moments_match_the_fraction_formula():
+    # unvalidated dice too: zero and negative entries, sums other than 1
+    rng = Random(13)
+    pool = [F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3, 7), F(-5, 12), F(7, 30)]
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        die = Die([rng.choice(pool) for _ in range(n)])
+        psi = [rng.choice(pool) * rng.randint(-3, 3) for _ in range(n)]
+        mean = sum((p * v for p, v in zip(die.probs, psi)), F(0))
+        second = sum((p * v * v for p, v in zip(die.probs, psi)), F(0))
+        assert die_mean(die, psi) == mean
+        assert die_var(die, psi) == second - mean * mean
 
 
 def test_moment_dimension_errors():
