@@ -10,9 +10,15 @@ Subcommands:
 * ``bias``     — exact worst-case bias of an extractor for a range of
   sample counts, as CSV.
 
-Numeric flags accept exact "p/q" strings.  Parse and validation failures
-exit 64; cost-guard refusals exit 65.  Identical inputs and seed produce
-byte-identical output files.
+Numeric flags accept exact "p/q" strings.  Identical inputs and seed
+produce byte-identical output files.
+
+The commands only load, compute and write; :func:`main` is the one place
+that maps their failures to exit codes.  Cost-guard refusals
+(``GuardError``) exit 65.  Parse and validation failures exit 64, and so
+do files that cannot be read or written (a source, strategy or table
+file, ``--out``, ``--transcript``) and strategy files that are not trees
+of objects with integer dice.  The message goes to stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .presets import load_source
 
 EXIT_PARSE = 64
 EXIT_GUARD = 65
+CATEGORY_EXIT = {Category.EXP_ERROR: 0, Category.POLY_ERROR: 1, Category.NON_EXTRACTABLE: 2}
 
 
 def _write(path: str | None, text: str) -> None:
@@ -101,22 +108,9 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_classify(args) -> int:
-    try:
-        spec = _load_validated(args.source)
-    except (SpecFormatError, OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        report = classify(spec)
-    except GuardError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_GUARD
+    report = classify(_load_validated(args.source))
     _write(args.out, report.to_json())
-    return {
-        Category.EXP_ERROR: 0,
-        Category.POLY_ERROR: 1,
-        Category.NON_EXTRACTABLE: 2,
-    }[report.category]
+    return CATEGORY_EXIT[report.category]
 
 
 def _pm1_bits(sign: int) -> str:
@@ -148,7 +142,7 @@ class _Extractor(NamedTuple):
     """A builtin extractor as the CLI runs it.
 
     ``fold(psi, epsilon, faces, m)`` gives the output bits,
-    ``table(psi, epsilon, n, m)`` the single-bit :class:`ExtractorTable`
+    ``table(psi, epsilon, n)`` the single-bit :class:`ExtractorTable`
     for the oracle (None for the multi-bit extractors, which the
     worst-case strategy and bias sweeps do not take), and
     ``summaries(psi, epsilon, faces, m)`` the exact z summary after each
@@ -166,12 +160,12 @@ class _Extractor(NamedTuple):
 EXTRACTORS = {
     "threshold": _Extractor(
         lambda psi, eps, faces, m: _pm1_bits(ex.threshold_extract(psi, eps, faces)),
-        lambda psi, eps, n, m: ExtractorTable.for_threshold(psi, eps, n),
+        lambda psi, eps, n: ExtractorTable.for_threshold(psi, eps, n),
         _machine_summaries(lambda psi, eps, m: ex._threshold_machine(psi, eps)),
     ),
     "bit-exp": _Extractor(
         lambda psi, eps, faces, m: _pm1_bits(ex.bit_extract_exp(psi, faces)),
-        lambda psi, eps, n, m: ExtractorTable.for_bit_exp(psi, n),
+        lambda psi, eps, n: ExtractorTable.for_bit_exp(psi, n),
         _machine_summaries(lambda psi, eps, m: ex._bit_exp_machine(psi)),
     ),
     "multibit-naive": _Extractor(
@@ -222,42 +216,28 @@ def _transcript(extractor: _Extractor, psi: Witness, epsilon, faces, m: int) -> 
 
 
 def cmd_extract(args) -> int:
-    try:
-        spec = _load_validated(args.source)
-    except (SpecFormatError, OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    spec = _load_validated(args.source)
     report = classify(spec)
     if report.category is Category.NON_EXTRACTABLE:
         print("source is non-extractable", file=sys.stderr)
         return 2
-    try:
-        epsilon = rat(args.epsilon)
-        psi = _auto_witness(spec, report, epsilon)
-        extractor = EXTRACTORS.get(args.extractor)
-        if extractor is None:
+    epsilon = rat(args.epsilon)
+    psi = _auto_witness(spec, report, epsilon)
+    extractor = EXTRACTORS.get(args.extractor)
+    if extractor is None:
+        raise SpecFormatError(f"unknown extractor {args.extractor!r}; pick from {EXTRACTOR_NAMES}")
+    table = None
+    if args.strategy == "worst-case":
+        if extractor.table is None:
             raise SpecFormatError(
-                f"unknown extractor {args.extractor!r}; pick from {EXTRACTOR_NAMES}"
+                f"worst-case strategy needs a single-bit extractor ({SINGLE_BIT_NAMES})"
             )
-        table = None
-        if args.strategy == "worst-case":
-            if extractor.table is None:
-                raise SpecFormatError(
-                    f"worst-case strategy needs a single-bit extractor ({SINGLE_BIT_NAMES})"
-                )
-            table = extractor.table(psi, epsilon, args.n, args.m)
-        strategy = _resolve_strategy(spec, args.strategy, table)
-        faces = sample_sequence(spec, strategy, args.n, args.seed)
-        bits = extractor.fold(psi, epsilon, faces, args.m)
-        transcript = None
-        if args.transcript:
-            transcript = _transcript(extractor, psi, epsilon, faces, args.m)
-    except GuardError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_GUARD
-    except (GsvError, OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+        table = extractor.table(psi, epsilon, args.n)
+    strategy = _resolve_strategy(spec, args.strategy, table)
+    faces = sample_sequence(spec, strategy, args.n, args.seed)
+    bits = extractor.fold(psi, epsilon, faces, args.m)
+    # built before anything is written, so a DigitLimitError writes no file
+    transcript = _transcript(extractor, psi, epsilon, faces, args.m) if args.transcript else None
     doc = {
         "bits": bits,
         "extractor": args.extractor,
@@ -272,35 +252,21 @@ def cmd_extract(args) -> int:
 
 
 def cmd_bias(args) -> int:
-    try:
-        spec = _load_validated(args.source)
-    except (SpecFormatError, OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
-    rows: list[tuple[int, str]] = []
-    try:
-        epsilon = rat(args.epsilon)
-        if args.extractor in EXTRACTORS:
-            report = classify(spec)
-            if report.category is Category.NON_EXTRACTABLE:
-                print("source is non-extractable; no witness to run", file=sys.stderr)
-                return 2
-            psi = _auto_witness(spec, report, epsilon)
-            build = EXTRACTORS[args.extractor].table
-            if build is None:
-                raise SpecFormatError("bias sweeps need a single-bit extractor")
-            for n in _parse_range(args.n):
-                table = build(psi, epsilon, n, args.m)
-                rows.append((n, rat_str(exact_extremes(spec, table).bias)))
-        else:
-            table = _load_table(args.extractor, spec.num_faces)
-            rows.append((table.n, rat_str(exact_extremes(spec, table).bias)))
-    except GuardError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_GUARD
-    except (GsvError, OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    spec = _load_validated(args.source)
+    epsilon = rat(args.epsilon)
+    if args.extractor in EXTRACTORS:
+        report = classify(spec)
+        if report.category is Category.NON_EXTRACTABLE:
+            print("source is non-extractable; no witness to run", file=sys.stderr)
+            return 2
+        psi = _auto_witness(spec, report, epsilon)
+        build = EXTRACTORS[args.extractor].table
+        if build is None:
+            raise SpecFormatError("bias sweeps need a single-bit extractor")
+        tables = (build(psi, epsilon, n) for n in _parse_range(args.n))
+    else:
+        tables = [_load_table(args.extractor, spec.num_faces)]
+    rows = [(table.n, rat_str(exact_extremes(spec, table).bias)) for table in tables]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("n", "bias"))
@@ -346,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extractor", default="bit-exp",
                    help="builtin extractor name or an extractor table JSON path")
     p.add_argument("--n", default="1..8", help='range "lo..hi" or comma list')
-    p.add_argument("--m", type=int, default=1)
     p.add_argument("--epsilon", default="1/16")
     p.set_defaults(fn=cmd_bias)
 
@@ -354,8 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that maps its failures to exit codes."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GuardError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_GUARD
+    except (GsvError, OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":  # pragma: no cover

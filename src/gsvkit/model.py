@@ -342,22 +342,34 @@ class Strategy:
         """Build a strategy from its explicit tree form.
 
         A node is ``{"die": k, "children": {face_label: node}}``; nodes at
-        the padded depth carry no die.  Walking past the tree raises
-        StrategyError.
+        the padded depth carry no die.  Walking past the tree, a node that
+        is not an object, or a die that is not an ``int`` (booleans
+        refused, as :func:`rat` refuses them) raises StrategyError naming
+        the history.
         """
         labels = list(face_labels)
 
         def choose(history: History) -> int:
             node = tree
-            for face in history:
-                children = node.get("children", {})
-                key = labels[face]
-                if key not in children:
-                    raise StrategyError(f"strategy tree has no branch for history {history}")
-                node = children[key]
-            if "die" not in node:
-                raise StrategyError(f"strategy tree has no die at history {history}")
-            return node["die"]
+            try:
+                for face in history:
+                    children = node.get("children", {})
+                    key = labels[face]
+                    if key not in children:
+                        raise StrategyError(f"strategy tree has no branch for history {history}")
+                    node = children[key]
+                if "die" not in node:
+                    raise StrategyError(f"strategy tree has no die at history {history}")
+                die = node["die"]
+            except (AttributeError, TypeError):  # a node or its children is not an object
+                raise StrategyError(
+                    f"strategy tree walk to history {history} meets a node that is not an object"
+                ) from None
+            if type(die) is not int:
+                raise StrategyError(
+                    f"strategy tree die {die!r} at history {history} is not an integer"
+                )
+            return die
 
         return cls(choose, "tree")
 

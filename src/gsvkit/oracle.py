@@ -204,8 +204,8 @@ class BiasReport:
         return "".join(out)
 
 
-def _check_tree_guard(spec: SourceSpec, n: int, guard: int | None) -> None:
-    limit = tree_guard() if guard is None else guard
+def _check_tree_guard(spec: SourceSpec, n: int) -> None:
+    limit = tree_guard()
     if spec.num_faces**n > limit:
         raise TreeLimitError(f"|F|^n = {spec.num_faces}^{n} exceeds the guard {limit}")
 
@@ -288,7 +288,7 @@ def _tree(labels: Sequence[str], kids, dies: list[list[int]], nleaves: int) -> d
     return below[0]
 
 
-def exact_extremes(spec: SourceSpec, ext: ExtractorTable, guard: int | None = None) -> BiasReport:
+def exact_extremes(spec: SourceSpec, ext: ExtractorTable) -> BiasReport:
     """Exact max/min of E[Ext] over every adaptive strategy.
 
     Backward induction: a leaf is worth the extractor output; an internal
@@ -303,7 +303,7 @@ def exact_extremes(spec: SourceSpec, ext: ExtractorTable, guard: int | None = No
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("exact_extremes needs a +/-1 extractor")
-    _check_tree_guard(spec, ext.n, guard)
+    _check_tree_guard(spec, ext.n)
     labels = spec.face_labels
     q, rows = _die_rows(spec)
     kids, leaves = _layers(ext, spec.num_faces)
@@ -324,7 +324,7 @@ def exact_extremes(spec: SourceSpec, ext: ExtractorTable, guard: int | None = No
 
 
 def output_distribution(
-    spec: SourceSpec, strategy: Strategy, ext: ExtractorTable, guard: int | None = None
+    spec: SourceSpec, strategy: Strategy, ext: ExtractorTable
 ) -> dict[int, Fraction]:
     """Exact distribution of Ext under the strategy; probabilities sum to 1.
 
@@ -333,7 +333,7 @@ def output_distribution(
     depth-first in order, with an explicit stack; a probability at depth
     t is an integer numerator over Q^t (Q as in :func:`_die_rows`).
     """
-    _check_tree_guard(spec, ext.n, guard)
+    _check_tree_guard(spec, ext.n)
     init, step, finish = _machine(ext)
     q, rows = _die_rows(spec)
     pushes = [[(f, p) for f, p in reversed(row) if p > 0] for row in rows]
@@ -363,10 +363,7 @@ def _tv_from_uniform(dist: dict[int, Fraction], out_size: int) -> Fraction:
 
 
 def exact_multibit_error(
-    spec: SourceSpec,
-    ext: ExtractorTable,
-    strategy: Strategy | None = None,
-    guard: int | None = None,
+    spec: SourceSpec, ext: ExtractorTable, strategy: Strategy | None = None
 ) -> Fraction:
     """Total-variation distance of the output from uniform.
 
@@ -381,8 +378,8 @@ def exact_multibit_error(
     if ext.output_kind != INDEX:
         raise ValueError("exact_multibit_error needs an index-output extractor")
     if strategy is not None:
-        return _tv_from_uniform(output_distribution(spec, strategy, ext, guard), ext.out_size)
-    _check_tree_guard(spec, ext.n, guard)
+        return _tv_from_uniform(output_distribution(spec, strategy, ext), ext.out_size)
+    _check_tree_guard(spec, ext.n)
     if (1 << ext.out_size) - 2 > DEFAULT_ENUM_GUARD:
         raise EnumLimitError(
             f"2^{ext.out_size} - 2 output sets exceed the guard {DEFAULT_ENUM_GUARD}"
@@ -398,9 +395,7 @@ def exact_multibit_error(
     return Fraction(worst, ext.out_size * scale)
 
 
-def greedy_plus_strategy(
-    spec: SourceSpec, ext: ExtractorTable, epsilon, guard: int | None = None
-) -> Strategy:
+def greedy_plus_strategy(spec: SourceSpec, ext: ExtractorTable, epsilon) -> Strategy:
     """The bias-amplifying adversary built from a ratio-condition failure.
 
     Advantage is measured on the [0, 1] scale alpha = Pr[Ext = +1].  At
@@ -426,7 +421,7 @@ def greedy_plus_strategy(
         raise ValueError("greedy_plus_strategy needs a +/-1 extractor")
     eps = rat(epsilon)
     e_num, e_den = eps.numerator, eps.denominator
-    _check_tree_guard(spec, ext.n, guard)
+    _check_tree_guard(spec, ext.n)
     labels = spec.face_labels
     nfaces = spec.num_faces
     q, rows = _die_rows(spec)

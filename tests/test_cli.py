@@ -177,7 +177,7 @@ def test_extract_worst_case_refuses_multibit_extractors(capsys):
 def test_bias_refuses_multibit_extractors(capsys):
     for extractor in ("multibit-naive", "multibit-fast"):
         assert run("bias", "--source", "fair-coin", "--extractor", extractor,
-                   "--m", "2", "--n", "1..3") == 64
+                   "--n", "1..3") == 64
         assert capsys.readouterr().err == "bias sweeps need a single-bit extractor\n"
 
 
@@ -214,6 +214,50 @@ def test_extract_strategy_file(tmp_path):
     out = tmp_path / "res.json"
     assert run("extract", "--source", "e2", "--extractor", "bit-exp", "--n", "2",
                "--seed", "1", "--strategy", str(path), "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("source, n, tree, message", [
+    ("e2", "1", {"die": True, "children": {}},
+     "strategy tree die True at history () is not an integer"),
+    ("fair-coin", "3", {"die": 0, "children": {"H": 5, "T": 5}},
+     "strategy tree walk to history (0,) meets a node that is not an object"),
+], ids=["boolean-die", "int-node"])
+def test_extract_rejects_malformed_strategy_files(tmp_path, capsys, source, n, tree, message):
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(tree))
+    assert run("extract", "--source", source, "--n", n, "--strategy", str(path)) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+
+
+def test_extract_subset_guard_exits_65(tmp_path, capsys):
+    source = tmp_path / "wide.json"
+    source.write_text(json.dumps({"faces": ["a", "b"], "dice": [["1/2", "1/2"]] * 25}))
+    assert run("extract", "--source", str(source)) == 65
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "25 dice exceed the 24-die subset guard\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--source", "e2"),
+    ("extract", "--source", "fair-coin", "--n", "4"),
+    ("bias", "--source", "fair-coin", "--n", "1..2"),
+], ids=["classify", "extract", "bias"])
+def test_out_into_a_missing_directory_exits_64(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    assert run(*argv, "--out", str(out)) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"[Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+def test_transcript_into_a_missing_directory_exits_64(tmp_path, capsys):
+    out, tr = tmp_path / "res.json", tmp_path / "missing" / "steps.csv"
+    assert run("extract", "--source", "fair-coin", "--n", "4", "--out", str(out),
+               "--transcript", str(tr)) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"[Errno 2] No such file or directory: {str(tr)!r}\n"
 
 
 def test_bias_fair_coin_column_is_zero(tmp_path):

@@ -98,9 +98,10 @@ def test_extremes_match_their_strategies():
         assert report.min_expectation <= report.max_expectation
 
 
-def test_tree_guard_raises():
+def test_tree_guard_raises(monkeypatch):
+    monkeypatch.setenv("GSV_TREE_GUARD", "1")
     with pytest.raises(TreeLimitError):
-        exact_extremes(SV, FIRST_BIT, guard=1)
+        exact_extremes(SV, FIRST_BIT)
 
 
 def test_tree_guard_env_override(monkeypatch):
