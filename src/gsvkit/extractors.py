@@ -26,9 +26,10 @@ Ordering convention for the multi-bit extractor: coordinates are kept in
 a stable order — sorted ascending by value, with ties keeping their
 order from the previous step (coordinate index order at step 0).  The
 same rule picks the final winner (the last coordinate in the order).
-The fast implementation in :mod:`gsvkit.fastmultibit` reproduces this
-rule without materializing the 2^m coordinates, which is what makes the
-two paths bit-identical.
+The step on value groups, tie rule included, is written once, in
+``_regroup``: the naive machine applies it to the materialized order and
+:mod:`gsvkit.fastmultibit` to ranks within groups, which is what makes
+the two paths bit-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import isqrt, lcm
 from operator import itemgetter
 from typing import Sequence
@@ -262,6 +263,54 @@ def encode_index(index: int, m: int) -> str:
     return format(index, f"0{m}b")
 
 
+_MULT, _TOP = 0, 1  # slice kinds; the top member sorts last among ties
+
+
+def _regroup(groups, a: int, b2: int) -> list[tuple[int, int, int, int, int, int]]:
+    """One multi-bit step on ascending (numerator, count) value groups.
+
+    The step value is a / (b2/2): every numerator gets the factor b2 in
+    its scale.  In the stable order the member at position j (1-based,
+    counted over all groups) moves by the factor b2 - a when j is odd and
+    b2 + a when j is even; the top member, the last of the last group,
+    sits out and becomes N_top*b2 - a*B, B the balancing sum of the
+    moved numerators with sign + at even and - at odd positions.  So the
+    numerators still sum to the scale.
+
+    A group's members are consecutive in the order, so each splits by
+    position parity into two arithmetic runs of its ranks.  The result
+    lists these slices (numerator, source group, kind, first rank, rank
+    stride, count), plus the top member as (.., _TOP, last rank, 0, 1),
+    sorted.  Equal numerators are then adjacent in the new stable order:
+    a tie goes to the lower source group, whose members sat lower, and
+    the top member, which sat highest, comes last.  For a = 0 every group
+    is one identity slice (b2 * N, k, _MULT, 1, 1, count).
+    """
+    if not a:
+        return [(v * b2, k, _MULT, 1, 1, count) for k, (v, count) in enumerate(groups)]
+    low, high = b2 - a, b2 + a
+    top = len(groups) - 1
+    slices = []
+    balance = 0
+    pos = 1  # position of the group's rank 1
+    for k, (v, count) in enumerate(groups):
+        if k == top:
+            count -= 1  # the top member sits out
+        odd = (pos + count) // 2 - pos // 2  # odd positions in pos..pos+count-1
+        even = count - odd
+        balance += v * (even - odd)
+        first_odd = 2 - (pos & 1)
+        if odd:
+            slices.append((v * low, k, _MULT, first_odd, 2, odd))
+        if even:
+            slices.append((v * high, k, _MULT, 3 - first_odd, 2, even))
+        pos += count
+    top_v, top_count = groups[top]
+    slices.append((top_v * b2 - a * balance, top, _TOP, top_count, 0, 1))
+    slices.sort()
+    return slices
+
+
 def _naive_machine(psi: Witness, m: int):
     """(init, step, finish, z) of the 2^m coupled martingales in integers.
 
@@ -269,12 +318,10 @@ def _naive_machine(psi: Witness, m: int):
     stable order of :class:`MultiBitState` and ``groups`` the
     (numerator, count) runs of equal value along it, ascending.  Every
     numerator is over the scale 2^m * (2L)^t at depth t, L the lcm of the
-    witness denominators, and every step scales, a zero value included,
-    so equal vectors at equal depth are one state.  With A = psi_f * L, a
-    step multiplies the numerator at an odd position by 2L - A and at an
-    even one by 2L + A, and the top coordinate becomes N_top*2L - A*B,
-    B the integer balancing sum.  ``finish`` gives the top coordinate's
-    index and ``z`` its value; the numerators sum to the scale.
+    witness denominators, and a step is :func:`_regroup` with the value
+    psi_f * L over 2L, so every step scales, a zero value included, and
+    equal vectors at equal depth are one state.  ``finish`` gives the top
+    coordinate's index and ``z`` its value; the numerators sum to the scale.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -288,36 +335,15 @@ def _naive_machine(psi: Witness, m: int):
 
     def step(state, face: int):
         order, groups = state
-        a = nums[face]
-        if not a:
-            return order, tuple((v * scale2, count) for v, count in groups)
-        low, high = scale2 - a, scale2 + a
-        # (value, group, kind, first, stop): the coordinates order[first:stop:2]
-        # move to value; kind 1 is the top coordinate, which sat highest
-        slices = []
-        balance = start = 0
-        top = len(groups) - 1
-        for k, (v, count) in enumerate(groups):
-            stop = start + count - (k == top)  # the top coordinate sits out
-            # order[i] sits at position i + 1: even i gets low, odd i high
-            even = start + (start & 1)
-            odd = even + 1 if even == start else start
-            if even < stop:
-                slices.append((v * low, k, 0, even, stop))
-                balance -= v * ((stop - even + 1) // 2)
-            if odd < stop:
-                slices.append((v * high, k, 0, odd, stop))
-                balance += v * ((stop - odd + 1) // 2)
-            start += count
-        slices.append((groups[top][0] * scale2 - a * balance, top, 1, size - 1, size))
-        # by value; equal values keep their previous order, the top last
-        slices.sort()
+        starts = list(accumulate((count for _v, count in groups), initial=-1))
         new_order: list[int] = []
         new_groups = []
-        for v, run in groupby(slices, key=itemgetter(0)):
+        for v, run in groupby(_regroup(groups, nums[face], scale2), key=itemgetter(0)):
             before = len(new_order)
-            for _v, _k, _kind, first, stop in run:
-                new_order += order[first:stop:2]
+            for _v, k, _kind, first, stride, count in run:
+                i = starts[k] + first  # order index of the slice's first rank
+                # the top slice has stride 0 and one member
+                new_order += order[i : i + stride * (count - 1) + 1 : stride or 1]
             new_groups.append((v, len(new_order) - before))
         return tuple(new_order), tuple(new_groups)
 

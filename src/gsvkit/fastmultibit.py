@@ -1,34 +1,18 @@
 """Multi-bit extraction without materializing the 2^m martingales.
 
-The coupled update moves every non-largest coordinate multiplicatively:
-at sorted position j it is scaled by (1 - psi/2) when j is odd and by
-(1 + psi/2) when j is even, while the largest coordinate absorbs the
-balancing amount.  Coordinates sharing a value therefore evolve in
-lockstep, so the whole state compresses into a short list of
-(value, count) groups, one per distinct value, plus one step record per
-consumed witness value.
+Coordinates sharing a value move in lockstep, so the state is a short
+list of (numerator, count) groups over one shared integer scale, and a
+step is :func:`gsvkit.extractors._regroup` on those groups: O(g log g)
+in the group count g, with exact big-integer counts, so widths up to
+m = 62 are fine.  The ``groups`` view builds reduced Fractions only when
+it is read.
 
-Within the stable order (ascending value, ties keeping their previous
-rank) the members of a group occupy consecutive positions, so each group
-splits by position parity into two arithmetic subsequences of its rank
-space.  A step is O(g log g) in the number g of groups: count arithmetic
-for the splits, one multiplication per (group, parity) slice, one sort of
-the slices and the top member by (value, source group, kind), and a pass
-that joins equal values into the new groups.  Group counts stay exact big
-integers; nothing ever enumerates 2^m coordinates, so widths up to m = 62
-are fine.
-
-Group values are exact but not stored as Fractions: each is an integer
-numerator over one scale shared by the whole state, 2^m * prod_s 2*b_s
-after steps with witness values a_s/b_s.  Order and equality under a
-common denominator are those of the numerators, so the sort and the
-regrouping are plain int work with no gcd; the ``groups`` view builds
-the reduced Fractions only when it is read.
-
-A step record (a flat int64 array) lists, for every new group, the
-slices it was joined from.  The final winner, the last member of the
-largest group, is traced back through the records step by step to its
-rank in the uniform initial state, i.e. its coordinate index.
+Each step appends a record (a flat int64 array): the new group count,
+then per new group its members, its slice count and each slice's (kind,
+source group, first rank, rank stride, count).  The final winner, the
+last member of the largest group, is traced back through the records
+step by step to its rank in the uniform initial state, i.e. its
+coordinate index.
 
 ``multibit_extract_fast`` is the counterpart of
 :func:`gsvkit.extractors.multibit_extract_naive` and must agree with it
@@ -45,7 +29,7 @@ from typing import Sequence
 
 from .errors import GroupLimitError, OutputWidthError
 from .model import Witness, rat
-from .extractors import encode_index
+from .extractors import _MULT, _TOP, _regroup, encode_index
 
 __all__ = ["FastMultibitState", "multibit_extract_fast", "FAST_GROUP_GUARD", "FAST_WIDTH_GUARD"]
 
@@ -53,8 +37,6 @@ FAST_WIDTH_GUARD = 62  # counts are stored as int64 in the step records
 # A step costs O(g log g) in the group count g, which grows polynomially
 # in n with an exponent that rises with |F|.
 FAST_GROUP_GUARD = 2**16
-
-_MULT, _TOP = 0, 1  # record kinds; the top member sorts last among ties
 
 
 class FastMultibitState:
@@ -99,60 +81,21 @@ class FastMultibitState:
     # -- forward ----------------------------------------------------------
 
     def advance(self, psi_value) -> None:
-        """Consume one witness value; O(g log g) exact arithmetic.
+        """Consume one witness value a/b: one :func:`_regroup` step.
+
+        Each new group is a run of equal slices, recorded as its members,
+        its slice count and the slices' (kind, source group, first rank,
+        rank stride, count).  A zero value still multiplies the scale by 2;
+        the views are reduced Fractions, so they do not change.
 
         Raises GroupLimitError, leaving the state as it was, when the step
         would make more than FAST_GROUP_GUARD groups.
-
-        A value a/b multiplies the scale by 2b, so the numerators update
-        in integers: N*(2b - a) at odd positions, N*(2b + a) at even
-        ones, and N_top*2b - a*B for the top, B being the balancing sum.
-
-        Each new group is made of slices (value, source group, kind,
-        first rank, rank stride, count).  Sorting the slices puts equal
-        values next to each other in the stable order: a tie goes to the
-        lower source group (its members sat lower before the step), and
-        the balancing top member, which sat highest, comes last.
         """
         value = rat(psi_value)
-        groups = self._groups
-        if value == 0:
-            record = [len(groups)]
-            for k, (_n, cnt) in enumerate(groups):
-                record.extend((cnt, 1, _MULT, k, 1, 1, cnt))
-            self._records.append(array("q", record))
-            return
-        a, b2 = value.numerator, 2 * value.denominator
-        low_f, high_f = b2 - a, b2 + a
-
-        top_k = len(groups) - 1
-        top_v, top_cnt = groups[top_k]
-        # the top member, last rank of the last group, sits out of the
-        # multiplicative update
-        movers = groups[:top_k]
-        movers.append((top_v, top_cnt - 1))
-        slices: list[tuple[int, int, int, int, int, int]] = []
-        balance = 0
-        pos = 1
-        for k, (v, cnt) in enumerate(movers):
-            if cnt:
-                odd = (pos + cnt) // 2 - pos // 2  # odd positions in pos..pos+cnt-1
-                even = cnt - odd
-                balance += v * (even - odd)
-                # rank 1 sits at position pos: odd positions start at rank 1
-                # when pos is odd and at rank 2 when it is even
-                first_odd = 2 - (pos & 1)
-                if odd:
-                    slices.append((v * low_f, k, _MULT, first_odd, 2, odd))
-                if even:
-                    slices.append((v * high_f, k, _MULT, 3 - first_odd, 2, even))
-            pos += cnt
-        slices.append((top_v * b2 - a * balance, top_k, _TOP, top_cnt, 0, 1))
-        slices.sort()
-
+        b2 = 2 * value.denominator
         new_groups: list[tuple[int, int]] = []
         record: list[int] = [0]
-        for v, run in groupby(slices, key=itemgetter(0)):
+        for v, run in groupby(_regroup(self._groups, value.numerator, b2), key=itemgetter(0)):
             head = len(record)
             record += (0, 0)  # members and slice count, filled in below
             members = nslices = 0

@@ -393,6 +393,12 @@ class Strategy:
         return tree
 
 
+def _check_die(die_index, ndice: int) -> None:
+    """Raise StrategyError unless a strategy's choice names one of the dice."""
+    if not isinstance(die_index, int) or not 0 <= die_index < ndice:
+        raise StrategyError(f"strategy chose die {die_index!r}, have {ndice} dice")
+
+
 def sample_sequence(spec: SourceSpec, strategy: Strategy, n: int, seed: int) -> tuple[int, ...]:
     """Draw ``n`` faces from the source under ``strategy``, reproducibly.
 
@@ -417,8 +423,7 @@ def sample_sequence(spec: SourceSpec, strategy: Strategy, n: int, seed: int) -> 
         die_index = fixed if fixed is not None else strategy.choose(tuple(out))
         cdf = cdfs.get(die_index) if isinstance(die_index, int) else None
         if cdf is None:
-            if not isinstance(die_index, int) or not 0 <= die_index < ndice:
-                raise StrategyError(f"strategy chose die {die_index!r}, have {ndice} dice")
+            _check_die(die_index, ndice)
             thresholds = []
             cum = Fraction(0)
             for p in spec.dice[die_index].probs:

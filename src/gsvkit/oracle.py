@@ -57,7 +57,7 @@ from .extractors import (
     multibit_extract_naive,
     threshold_extract,
 )
-from .model import SourceSpec, Strategy, Witness, rat, rat_str
+from .model import SourceSpec, Strategy, Witness, _check_die, rat, rat_str
 
 __all__ = [
     "BiasReport",
@@ -150,8 +150,9 @@ class ExtractorTable:
             return table[idx]
 
         ext = cls(n, PM_ONE, fn)  # rejects n < 0 before |F|^n is formed
-        if len(table) != num_faces**n:
-            raise ValueError(f"need {num_faces**n} outputs for n={n}, |F|={num_faces}")
+        # once n passes the count's bit length, |F|^n >= 2^n exceeds it: never form the power
+        if (num_faces > 1 and n > len(table).bit_length()) or len(table) != num_faces**n:
+            raise ValueError(f"need |F|^n = {num_faces}^{n} outputs, got {len(table)}")
         bad = next((i for i, out in enumerate(table) if out not in (1, -1)), None)
         if bad is not None:
             raise ValueError(f"output {bad} is {table[bad]!r}, not +1 or -1")
@@ -337,6 +338,7 @@ def output_distribution(
     init, step, finish = _machine(ext)
     q, rows = _die_rows(spec)
     pushes = [[(f, p) for f, p in reversed(row) if p > 0] for row in rows]
+    ndice = len(pushes)
     dist: dict[int, int] = {}
     stack = [((), 1, init)]
     while stack:
@@ -345,7 +347,9 @@ def output_distribution(
             out = finish(state)
             dist[out] = dist.get(out, 0) + prob
             continue
-        for f, p in pushes[strategy.choose(history)]:
+        die = strategy.choose(history)
+        _check_die(die, ndice)
+        for f, p in pushes[die]:
             stack.append((history + (f,), prob * p, step(state, f)))
     scale = q**ext.n
     return {out: Fraction(prob, scale) for out, prob in dist.items()}

@@ -3,6 +3,7 @@
 import importlib
 import json
 import sys
+import time
 from fractions import Fraction as F
 from random import Random
 
@@ -279,6 +280,19 @@ def test_bias_with_extractor_table_file(tmp_path):
     assert run("bias", "--source", "sv:1/4", "--extractor", str(table),
                "--out", str(out)) == 0
     assert out.read_text().splitlines()[1] == "2,1"
+
+
+def test_bias_table_file_of_the_wrong_size_exits_64_without_forming_the_power(tmp_path, capsys):
+    # 3^10000000 has millions of digits: the size check must not form it
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"n": 10_000_000, "outputs": [1]}))
+    t0 = time.perf_counter()
+    code = run("bias", "--source", "hidden-sv", "--extractor", str(table))
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 64
+    assert (captured.out, captured.err) == ("", "need |F|^n = 3^10000000 outputs, got 1\n")
+    assert elapsed < 1.0
 
 
 def test_bias_guard_exit(monkeypatch):

@@ -146,6 +146,18 @@ def test_zero_steps_are_identity():
         )
 
 
+def test_zero_steps_keep_the_stable_order():
+    # a zero value regroups every group as one identity slice: each
+    # coordinate keeps its place in the order, across steps before and after
+    wit = Witness([1, 0, -1], "NK")
+    fast = FastMultibitState(3)
+    naive = MultiBitState.initial(3)
+    for f in (0, 1, 2, 1):
+        fast.advance(wit.values[f])
+        naive = multibit_step_naive(naive, wit.values[f])
+        assert _stable_order(fast) == list(naive.order)
+
+
 def test_width_guards():
     with pytest.raises(OutputWidthError):
         FastMultibitState(63)

@@ -13,6 +13,7 @@ from gsvkit import (
     NoQualifyingDieError,
     SourceSpec,
     Strategy,
+    StrategyError,
     TreeLimitError,
     Witness,
     check_mvd,
@@ -403,6 +404,14 @@ def test_xor_of_fair_flips_is_uniform():
     table = ExtractorTable(2, "pm1", lambda fs: 1 if fs[0] == fs[1] else -1)
     dist = output_distribution(fair_coin(), Strategy.constant(0), table)
     assert dist == {1: F(1, 2), -1: F(1, 2)}
+
+
+@pytest.mark.parametrize("die", [-1, 5])
+def test_distribution_refuses_a_die_outside_the_source(die):
+    # e2 has 3 dice: -1 must not play die 2, and 5 must not raise IndexError
+    table = ExtractorTable.constant(2, 1)
+    with pytest.raises(StrategyError, match=f"^strategy chose die {die}, have 3 dice$"):
+        output_distribution(e2(), Strategy.constant(die), table)
 
 
 def test_sv_constant_die_distribution():
