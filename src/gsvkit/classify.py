@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import lcm
 
 from . import linalg
 from .errors import EmptySupportError, EpsilonTooLargeError, NotHnkError, SubsetLimitError
@@ -45,6 +44,7 @@ from .model import (
     SourceSpec,
     Witness,
     WitnessKind,
+    _integer_rows,
     die_mean,
     die_var,
     rat,
@@ -177,8 +177,7 @@ def _combine_positive_variance(spec, dice_idx, basis):
         picks.append(vec)
     # one common denominator keeps the combination in integers; scaling
     # by it changes neither constancy nor the normalized result
-    scale = lcm(*(v.denominator for vec in picks for v in vec))
-    int_picks = [[v.numerator * (scale // v.denominator) for v in vec] for vec in picks]
+    _scale, int_picks = _integer_rows(picks)
     settled_at: list[list[frozenset[int]]] = [[] for _ in picks]
     for supp in supports:
         last = max(i for i, vec in enumerate(int_picks) if _nonconstant_on(vec, supp))
@@ -397,8 +396,7 @@ def _dual_certificate(spec: SourceSpec, basis) -> DualCertificate | None:
     if None in ys:  # impossible for the qualifying die
         raise RuntimeError("indicator difference left the pmf span")
     # weights compare in integers, over the common denominator of every y
-    scale = lcm(*(b.denominator for y in ys for b in y))
-    ints = [[b.numerator * (scale // b.denominator) for b in y] for y in ys]
+    scale, ints = _integer_rows(ys)
     best = None
     for i, y_star in enumerate(ints):
         for j, y_low in enumerate(ints):

@@ -38,12 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, groupby
-from math import isqrt, lcm
+from math import isqrt
 from operator import itemgetter
 from typing import Sequence
 
 from .errors import OutputWidthError
-from .model import Witness, rat
+from .model import Witness, _integer_rows, rat
 
 __all__ = [
     "BitExpState",
@@ -63,13 +63,6 @@ NAIVE_WIDTH_GUARD = 20  # the naive multi-bit state materializes 2^m coordinates
 
 def _sign(z: int) -> int:
     return 1 if z >= 0 else -1
-
-
-def _scaled(psi: Witness) -> tuple[int, list[int]]:
-    """(L, [psi_f * L]): the witness as integers over the lcm L of its
-    denominators."""
-    scale = lcm(*(v.denominator for v in psi.values))
-    return scale, [v.numerator * (scale // v.denominator) for v in psi.values]
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +117,7 @@ def _threshold_machine(psi: Witness, epsilon):
     and a step that starts at |z * L| >= M * L leaves it as it is (the
     freeze of :func:`threshold_step`).  sign(0) = +1.
     """
-    scale, nums = _scaled(psi)
+    scale, (nums,) = _integer_rows((psi.values,))
     bound = threshold_bound_m(epsilon) * scale
 
     def step(z: int, face: int) -> int:
@@ -179,7 +172,7 @@ def _bit_exp_machine(psi: Witness):
     D <- 2L*D, a zero value included, so D = (2L)^t at depth t and equal
     z at equal depth is one state.  sign(0) = +1.
     """
-    scale, nums = _scaled(psi)
+    scale, (nums,) = _integer_rows((psi.values,))
     scale2 = 2 * scale
 
     def step(state: tuple[int, int], face: int) -> tuple[int, int]:
@@ -329,7 +322,7 @@ def _naive_machine(psi: Witness, m: int):
         raise OutputWidthError(
             f"m={m} exceeds the naive guard ({NAIVE_WIDTH_GUARD}); use the fast path"
         )
-    scale, nums = _scaled(psi)
+    scale, (nums,) = _integer_rows((psi.values,))
     scale2 = 2 * scale
     size = 1 << m
 

@@ -14,7 +14,9 @@ are the ones that Fraction elimination gives.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .model import _integer_rows
 
 Matrix = list[list[Fraction]]
 Vector = tuple[Fraction, ...]
@@ -24,8 +26,7 @@ def _integer_row(row) -> list[int]:
     """The row scaled by the lcm of its denominators, divided by the gcd
     of the result: integers proportional to the row, with gcd 1."""
     vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in vals))
-    ints = [x.numerator * (scale // x.denominator) for x in vals]
+    _scale, (ints,) = _integer_rows((vals,))
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 

@@ -217,6 +217,13 @@ def _values_of(psi) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in psi)
 
 
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """(L, [[x * L for x in row] for row in rows]): rational rows as
+    integers over the lcm L of all their denominators."""
+    scale = lcm(*[x.denominator for row in rows for x in row])
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
 def _scaled_terms(die: Die, psi) -> tuple[list[int], list[int], int, int]:
     """(P*p for each probability p, V*v for each value v, P, V) in
     integers, where P and V are the lcms of the probabilities' and the
@@ -224,10 +231,8 @@ def _scaled_terms(die: Die, psi) -> tuple[list[int], list[int], int, int]:
     values = _values_of(psi)
     if len(values) != die.arity:
         raise DimensionError(f"witness has {len(values)} values, die has {die.arity} faces")
-    p_scale = lcm(*(p.denominator for p in die.probs))
-    v_scale = lcm(*(v.denominator for v in values))
-    probs = [p.numerator * (p_scale // p.denominator) for p in die.probs]
-    vals = [v.numerator * (v_scale // v.denominator) for v in values]
+    p_scale, (probs,) = _integer_rows((die.probs,))
+    v_scale, (vals,) = _integer_rows((values,))
     return probs, vals, p_scale, v_scale
 
 

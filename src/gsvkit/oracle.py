@@ -20,14 +20,13 @@ strategies, how biased can a given extractor's output get?
 
 All worst-case questions share one engine.  A node's value depends only
 on its depth and the extractor state there, so a forward pass interns the
-distinct states of each depth (a table without a stepper uses its history
-as its state), a backward induction over those layers takes the max or
-min die expectation at every state, and one bottom-up builder makes the
-strategy trees.  Nodes with equal states share subtrees: the trees are
-read-only DAGs that expand to the full |F|^n trees only when walked or
-serialised, which gives the same bytes.  Nothing here recurses, tree
-serialisation included, so the game depth is bounded by time and memory
-only.
+distinct states of each depth, a backward induction over those layers
+takes the max or min die expectation at every state, and one bottom-up
+builder makes the strategy trees.  Nodes with equal states share
+subtrees: the trees are read-only DAGs that expand to the full |F|^n
+trees only when walked or serialised, which gives the same bytes.
+Nothing here recurses, tree serialisation included, so the game depth
+is bounded by time and memory only.
 
 The engine computes in integers.  With Q the lcm of the dice
 denominators, a die is the integer row P_f = p_f * Q, a value at depth t
@@ -45,19 +44,12 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 from .errors import EnumLimitError, NoQualifyingDieError, TreeLimitError
-from .extractors import (
-    _bit_exp_machine,
-    _naive_machine,
-    _threshold_machine,
-    bit_extract_exp,
-    multibit_extract_naive,
-    threshold_extract,
-)
-from .model import SourceSpec, Strategy, Witness, _check_die, rat, rat_str
+from .extractors import _bit_exp_machine, _naive_machine, _threshold_machine
+from .model import SourceSpec, Strategy, Witness, _check_die, _integer_rows, rat, rat_str
 
 __all__ = [
     "BiasReport",
@@ -82,74 +74,72 @@ def tree_guard() -> int:
     return int(raw) if raw else DEFAULT_TREE_GUARD
 
 
+def _fold(init, step: Callable, finish: Callable, faces: tuple[int, ...]) -> int:
+    return finish(reduce(step, faces, init))
+
+
 @dataclass(frozen=True)
 class ExtractorTable:
     """A deterministic total function from length-n face sequences to
     outputs: +/-1 bits (kind "pm1") or indices in [2^m] (kind "index").
 
-    Leaves are evaluated lazily per sequence, so streaming extractors
-    never materialize their |F|^n output table.  Extractors that are
-    state machines additionally expose (init, step, finish); tree walks
-    thread that state down shared prefixes, which changes nothing about
-    the outputs but avoids refolding every leaf from scratch.  States
-    must be hashable: the oracle interns them per depth.
+    Every table is a state machine (init, step, finish): the output of a
+    sequence is ``finish`` of the state its faces step ``init`` to.  The
+    oracle walks these states and interns them per depth, so they must be
+    hashable, and leaves are never folded one by one: streaming
+    extractors never materialize their |F|^n output table.
 
     The threshold, damped-walk and multi-bit tables step the integer
-    state machines of :mod:`gsvkit.extractors`, which their folds ``fn``
-    run too.  All states at one depth share one scale, so equal walks at
-    equal depth are one state, as for the ``Fraction`` steppers.
+    state machines of :mod:`gsvkit.extractors`, an explicit table steps
+    its big-endian prefix index and a constant one a single state.  All
+    states at one depth share one scale, so equal walks at equal depth
+    are one state, as for the ``Fraction`` steppers.
+
+    :meth:`value` gives the output of a whole sequence, the fold of the
+    machine.  ``fn`` is that fold too, derived here; it is a field only
+    so that ``dataclasses.replace`` can swap it.
     """
 
     n: int
     output_kind: str
-    fn: Callable[[tuple[int, ...]], int]
-    out_size: int = 2  # number of possible outputs (2^m for "index")
-    init: object = None
-    step: Callable | None = None
-    finish: Callable | None = None
+    out_size: int  # number of possible outputs (2^m for "index")
+    init: object
+    step: Callable
+    finish: Callable
+    fn: Callable[[tuple[int, ...]], int] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        if self.fn is None:
+            object.__setattr__(self, "fn", partial(_fold, self.init, self.step, self.finish))
 
     def value(self, faces: tuple[int, ...]) -> int:
-        return self.fn(faces)
+        return _fold(self.init, self.step, self.finish, faces)
 
     @classmethod
     def constant(cls, n: int, out: int) -> "ExtractorTable":
-        return cls(n, PM_ONE, lambda _f: out)
+        return cls(n, PM_ONE, 2, 0, lambda s, _f: s, lambda _s: out)
 
     @classmethod
     def for_threshold(cls, psi: Witness, epsilon, n: int) -> "ExtractorTable":
-        eps = rat(epsilon)
-        init, step, finish, _z = _threshold_machine(psi, eps)
-        return cls(n, PM_ONE, lambda faces: threshold_extract(psi, eps, faces), 2,
-                   init, step, finish)
+        return cls(n, PM_ONE, 2, *_threshold_machine(psi, epsilon)[:3])
 
     @classmethod
     def for_bit_exp(cls, psi: Witness, n: int) -> "ExtractorTable":
-        init, step, finish, _z = _bit_exp_machine(psi)
-        return cls(n, PM_ONE, lambda faces: bit_extract_exp(psi, faces), 2,
-                   init, step, finish)
+        return cls(n, PM_ONE, 2, *_bit_exp_machine(psi)[:3])
 
     @classmethod
     def for_multibit(cls, psi: Witness, n: int, m: int) -> "ExtractorTable":
-        init, step, finish, _z = _naive_machine(psi, m)
-        return cls(n, INDEX, lambda faces: int(multibit_extract_naive(psi, faces, m), 2),
-                   1 << m, init, step, finish)
+        return cls(n, INDEX, 1 << m, *_naive_machine(psi, m)[:3])
 
     @classmethod
     def from_outputs(cls, n: int, num_faces: int, outputs: Sequence[int]) -> "ExtractorTable":
-        """Explicit table; ``outputs`` indexed by the big-endian sequence."""
+        """Explicit table; ``outputs`` indexed by the big-endian sequence,
+        whose prefix index i steps to i * |F| + f."""
         table = tuple(outputs)
-
-        def fn(faces: tuple[int, ...]) -> int:
-            idx = 0
-            for f in faces:
-                idx = idx * num_faces + f
-            return table[idx]
-
-        ext = cls(n, PM_ONE, fn)  # rejects n < 0 before |F|^n is formed
+        # rejects n < 0 before |F|^n is formed
+        ext = cls(n, PM_ONE, 2, 0, lambda i, f: i * num_faces + f, table.__getitem__)
         # once n passes the count's bit length, |F|^n >= 2^n exceeds it: never form the power
         if (num_faces > 1 and n > len(table).bit_length()) or len(table) != num_faces**n:
             raise ValueError(f"need |F|^n = {num_faces}^{n} outputs, got {len(table)}")
@@ -211,13 +201,6 @@ def _check_tree_guard(spec: SourceSpec, n: int) -> None:
         raise TreeLimitError(f"|F|^n = {spec.num_faces}^{n} exceeds the guard {limit}")
 
 
-def _machine(ext: ExtractorTable) -> tuple[object, Callable, Callable]:
-    """(init, step, finish) of the table; without a stepper, the history."""
-    if ext.step is None:
-        return (), lambda history, f: history + (f,), ext.value
-    return ext.init, ext.step, ext.finish
-
-
 def _layers(ext: ExtractorTable, nfaces: int) -> tuple[list[list[list[int]]], list[int]]:
     """Forward pass over the distinct extractor states of each depth.
 
@@ -227,9 +210,9 @@ def _layers(ext: ExtractorTable, nfaces: int) -> tuple[list[list[list[int]]], li
     at the i-th state at depth n.  Each distinct state steps each face
     once.
     """
-    init, step, finish = _machine(ext)
+    step, finish = ext.step, ext.finish
     faces = range(nfaces)
-    layer = [init]
+    layer = [ext.init]
     kids = []
     for _ in range(ext.n):
         index: dict = {}
@@ -241,12 +224,8 @@ def _layers(ext: ExtractorTable, nfaces: int) -> tuple[list[list[list[int]]], li
 def _die_rows(spec: SourceSpec) -> tuple[int, list[list[tuple[int, int]]]]:
     """(Q, rows): Q is the lcm of the dice denominators and ``rows[d]``
     lists (f, P_f) with p_f = P_f / Q for the faces die d can show."""
-    q = lcm(*(p.denominator for die in spec.dice for p in die.probs))
-    rows = [
-        [(f, p.numerator * (q // p.denominator)) for f, p in enumerate(die.probs) if p]
-        for die in spec.dice
-    ]
-    return q, rows
+    q, ints = _integer_rows([die.probs for die in spec.dice])
+    return q, [[(f, p) for f, p in enumerate(row) if p] for row in ints]
 
 
 def _induct(rows, kids, leaf_values: list[int], pick) -> tuple[list[list[int]], list[list[int]]]:
@@ -335,12 +314,12 @@ def output_distribution(
     t is an integer numerator over Q^t (Q as in :func:`_die_rows`).
     """
     _check_tree_guard(spec, ext.n)
-    init, step, finish = _machine(ext)
+    step, finish = ext.step, ext.finish
     q, rows = _die_rows(spec)
     pushes = [[(f, p) for f, p in reversed(row) if p > 0] for row in rows]
     ndice = len(pushes)
     dist: dict[int, int] = {}
-    stack = [((), 1, init)]
+    stack = [((), 1, ext.init)]
     while stack:
         history, prob, state = stack.pop()
         if len(history) == ext.n:

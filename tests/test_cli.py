@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reproducibility, file outputs."""
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -9,6 +10,7 @@ from random import Random
 
 import pytest
 
+import gsvkit.cli
 import gsvkit.fastmultibit
 from gsvkit import (
     BitExpState,
@@ -324,6 +326,31 @@ def test_bias_deep_one_face_game(tmp_path):
     assert run("bias", "--source", str(source), "--extractor", str(table),
                "--out", str(out)) == 0
     assert out.read_text().splitlines() == ["n,bias", "2000,1"]
+
+
+def test_bias_deep_one_face_table_steps_linearly(tmp_path, monkeypatch):
+    # a one-face table steps one prefix index per depth: n steps in all
+    load, calls = gsvkit.cli._load_table, 0
+
+    def counted_load(path, num_faces):
+        table = load(path, num_faces)
+
+        def step(state, face):
+            nonlocal calls
+            calls += 1
+            return table.step(state, face)
+
+        return dataclasses.replace(table, step=step)
+
+    monkeypatch.setattr(gsvkit.cli, "_load_table", counted_load)
+    source, table = tmp_path / "one.json", tmp_path / "table.json"
+    source.write_text(json.dumps({"faces": ["a"], "dice": [["1"]]}))
+    table.write_text(json.dumps({"n": 20_000, "outputs": [1]}))
+    out = tmp_path / "bias.csv"
+    assert run("bias", "--source", str(source), "--extractor", str(table),
+               "--out", str(out)) == 0
+    assert out.read_text().splitlines() == ["n,bias", "20000,1"]
+    assert calls == 20_000
 
 
 def _reference_rows(extractor, psi, epsilon, faces, m):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from fractions import Fraction as F
+from functools import reduce
 from itertools import product
 from random import Random
 
@@ -24,6 +25,7 @@ from gsvkit.extractors import (
     BitExpState,
     ThresholdState,
     bit_exp_step,
+    multibit_extract_naive,
     threshold_bound_m,
     threshold_step,
 )
@@ -339,6 +341,38 @@ def test_oracle_cost_follows_distinct_states():
     )
 
 
+def test_constant_table_interns_one_state_per_depth():
+    calls = 0
+
+    def counted(step):
+        def wrapped(state, face):
+            nonlocal calls
+            calls += 1
+            return step(state, face)
+        return wrapped
+
+    for n, out in ((0, 1), (1, -1), (6, 1)):
+        calls = 0
+        table = ExtractorTable.constant(n, out)
+        report = exact_extremes(e2(), dataclasses.replace(table, step=counted(table.step)))
+        assert report.bias == 1 and calls == n * e2().num_faces
+
+
+def test_explicit_table_steps_its_prefix_index():
+    # a seeded 3-face table: the prefix-index machine gives the output the
+    # big-endian index names, and the oracle over it agrees with the
+    # history walk
+    rng = Random(53)
+    spec = random_spec(rng, 3, 3)
+    for n in range(5):
+        outputs = [rng.choice((1, -1)) for _ in range(3**n)]
+        table = ExtractorTable.from_outputs(n, 3, outputs)
+        for i, faces in enumerate(product(range(3), repeat=n)):
+            state = reduce(table.step, faces, table.init)
+            assert state == i and table.finish(state) == table.value(faces) == outputs[i]
+        assert exact_extremes(spec, table).to_json() == _extremes_by_history(spec, table).to_json()
+
+
 def test_deep_one_face_games():
     # a one-face source never trips the |F|^n guard; no entry point may
     # recurse once per depth, and neither may tree serialisation
@@ -395,13 +429,13 @@ def test_from_outputs_names_the_first_output_that_is_not_a_sign():
 
 def test_point_mass_distribution():
     spec = SourceSpec(("a", "b", "c"), [(0, 0, 1)])
-    table = ExtractorTable(2, "pm1", lambda fs: 1 if fs == (2, 2) else -1)
+    table = ExtractorTable.from_outputs(2, 3, [-1] * 8 + [1])
     dist = output_distribution(spec, Strategy.constant(0), table)
     assert dist == {1: F(1)}
 
 
 def test_xor_of_fair_flips_is_uniform():
-    table = ExtractorTable(2, "pm1", lambda fs: 1 if fs[0] == fs[1] else -1)
+    table = ExtractorTable.from_outputs(2, 2, [1, -1, -1, 1])
     dist = output_distribution(fair_coin(), Strategy.constant(0), table)
     assert dist == {1: F(1, 2), -1: F(1, 2)}
 
@@ -424,12 +458,12 @@ def test_sv_constant_die_distribution():
 
 
 def test_identity_on_uniform_die_is_exact():
-    table = ExtractorTable(1, "index", lambda fs: fs[0], out_size=2)
+    table = ExtractorTable(1, "index", 2, 0, lambda _s, f: f, lambda s: s)
     assert exact_multibit_error(fair_coin(), table) == 0
 
 
 def test_constant_output_tv():
-    table = ExtractorTable(1, "index", lambda fs: 0, out_size=2)
+    table = ExtractorTable(1, "index", 2, 0, lambda s, _f: s, lambda s: s)
     assert exact_multibit_error(fair_coin(), table) == F(1, 2)
 
 
@@ -490,17 +524,14 @@ def test_worst_tv_matches_strategy_enumeration():
 
 
 def test_multibit_table_fold_matches_its_stepper():
+    # the fold the CLI runs against the oracle table's machine
     wit = Witness([-1, 1, 0, 0], "NK")
     table = ExtractorTable.for_multibit(wit, 2, 2)
     for faces in product(range(4), repeat=2):
         state = table.init
         for f in faces:
             state = table.step(state, f)
-        assert table.value(faces) == table.finish(state)
-    # without its stepper, worst-case TV goes through the leaf-fold path;
-    # results must coincide
-    folded = dataclasses.replace(table, init=None, step=None, finish=None)
-    assert exact_multibit_error(e1(), table) == exact_multibit_error(e1(), folded)
+        assert int(multibit_extract_naive(wit, faces, 2), 2) == table.finish(state)
 
 
 # -- greedy adversary ---------------------------------------------------------
