@@ -70,6 +70,7 @@ from .model import (
 from .oracle import (
     BiasReport,
     ExtractorTable,
+    exact_biases,
     exact_extremes,
     exact_multibit_error,
     greedy_plus_strategy,

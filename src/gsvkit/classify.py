@@ -332,6 +332,26 @@ def mvr_witness(spec: SourceSpec, epsilon) -> Witness:
     return _mvr_witness(spec, epsilon, None)
 
 
+def _below_power(x: Fraction, eps: Fraction, k: int) -> bool:
+    """x < eps^k, for 0 < eps < 1 and k >= 0, without forming eps^k unless
+    x is about that small.
+
+    With j the smallest exponent for which eps^j <= x, x >= eps^k holds
+    exactly when j <= k: then eps^k <= eps^j <= x, and otherwise
+    x < eps^(j-1) <= eps^k.  The exponents 1, 2, 4, ... are tried in
+    turn, capped at k, so the last power formed is eps^k or eps^i with
+    i < 2j.
+    """
+    j = 1
+    while True:
+        j = min(j, k)
+        if eps**j <= x:
+            return False
+        if j == k:
+            return True
+        j *= 2
+
+
 def _mvr_witness(spec: SourceSpec, epsilon, hnk: bool | None) -> Witness:
     """:func:`mvr_witness`, trusting ``hnk`` as the source's HNK verdict
     (a classification report's) unless it is None."""
@@ -345,15 +365,14 @@ def _mvr_witness(spec: SourceSpec, epsilon, hnk: bool | None) -> Witness:
     values = _ratio_witness_values(
         spec, list(range(spec.num_faces)), list(range(spec.num_dice)), eps
     )
-    floor = eps ** (3 * 2**spec.num_dice - 3)
+    floor = 3 * 2**spec.num_dice - 3
     variances = [die_var(d, values) for d in spec.dice]
     for d, (die, var) in enumerate(zip(spec.dice, variances)):
         if not abs(die_mean(die, values)) < eps * var:
             raise EpsilonTooLargeError(f"ratio inequality fails at die {d} for epsilon {eps}")
-        if var < floor:
+        if _below_power(var, eps, floor):
             raise EpsilonTooLargeError(
-                f"variance {var} under die {d} is below the floor epsilon^"
-                f"{3 * 2**spec.num_dice - 3}"
+                f"variance {var} under die {d} is below the floor epsilon^{floor}"
             )
     return Witness(values, WitnessKind.MVR, epsilon=eps, min_variance=min(variances))
 

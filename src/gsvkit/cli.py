@@ -36,7 +36,7 @@ from .classify import Category, _mvr_witness, classify
 from .errors import DigitLimitError, GsvError, GuardError, SpecFormatError
 from .fastmultibit import FastMultibitState, multibit_extract_fast
 from .model import SourceSpec, Strategy, Witness, rat, rat_str, sample_sequence, validate_source
-from .oracle import ExtractorTable, exact_extremes
+from .oracle import ExtractorTable, exact_biases, exact_extremes
 from .presets import load_source
 
 EXIT_PARSE = 64
@@ -263,10 +263,12 @@ def cmd_bias(args) -> int:
         build = EXTRACTORS[args.extractor].table
         if build is None:
             raise SpecFormatError("bias sweeps need a single-bit extractor")
-        tables = (build(psi, epsilon, n) for n in _parse_range(args.n))
+        ns = _parse_range(args.n)
+        table = build(psi, epsilon, max(ns))
     else:
-        tables = [_load_table(args.extractor, spec.num_faces)]
-    rows = [(table.n, rat_str(exact_extremes(spec, table).bias)) for table in tables]
+        table = _load_table(args.extractor, spec.num_faces)
+        ns = [table.n]
+    rows = [(n, rat_str(bias)) for n, bias in zip(ns, exact_biases(spec, table, ns))]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("n", "bias"))

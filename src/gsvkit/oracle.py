@@ -6,6 +6,8 @@ strategies, how biased can a given extractor's output get?
 
 * :func:`exact_extremes` — the exact max/min expectation of a +/-1
   extractor and the strategies achieving them.
+* :func:`exact_biases` — the exact worst-case bias of a +/-1 extractor
+  for a whole list of sample counts n, from one sweep, with no strategy.
 * :func:`output_distribution` — exact forward distribution of the
   extractor output under a fixed strategy.
 * :func:`exact_multibit_error` — worst-case total-variation distance
@@ -28,6 +30,13 @@ trees only when walked or serialised, which gives the same bytes.
 Nothing here recurses, tree serialisation included, so the game depth
 is bounded by time and memory only.
 
+A bias sweep needs no tree, and a state's value with r steps left does
+not depend on n.  So :func:`exact_biases` interns states across depths
+instead, in breadth-first order, and one max and one min sweep over
+r = 1..N give the value at the initial state for every n <= N.  Both the
+layers and the sweep take one die-expectation step, ``_expect``, over a
+whole list of states at a time.
+
 The engine computes in integers.  With Q the lcm of the dice
 denominators, a die is the integer row P_f = p_f * Q, a value at depth t
 is a numerator over Q^(n-t) and a probability at depth t one over Q^t;
@@ -45,6 +54,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import EnumLimitError, NoQualifyingDieError, TreeLimitError
@@ -54,6 +65,7 @@ from .model import SourceSpec, Strategy, Witness, _check_die, _integer_rows, rat
 __all__ = [
     "BiasReport",
     "ExtractorTable",
+    "exact_biases",
     "exact_extremes",
     "exact_multibit_error",
     "greedy_plus_strategy",
@@ -85,9 +97,10 @@ class ExtractorTable:
 
     Every table is a state machine (init, step, finish): the output of a
     sequence is ``finish`` of the state its faces step ``init`` to.  The
-    oracle walks these states and interns them per depth, so they must be
-    hashable, and leaves are never folded one by one: streaming
-    extractors never materialize their |F|^n output table.
+    oracle walks these states and interns them per depth (across depths
+    in a bias sweep), so they must be hashable, and leaves are never
+    folded one by one: streaming extractors never materialize their
+    |F|^n output table.
 
     The threshold, damped-walk and multi-bit tables step the integer
     state machines of :mod:`gsvkit.extractors`, an explicit table steps
@@ -119,6 +132,8 @@ class ExtractorTable:
 
     @classmethod
     def constant(cls, n: int, out: int) -> "ExtractorTable":
+        if out not in (1, -1):
+            raise ValueError(f"output {out!r} is not +1 or -1")
         return cls(n, PM_ONE, 2, 0, lambda s, _f: s, lambda _s: out)
 
     @classmethod
@@ -228,28 +243,41 @@ def _die_rows(spec: SourceSpec) -> tuple[int, list[list[tuple[int, int]]]]:
     return q, [[(f, p) for f, p in enumerate(row) if p] for row in ints]
 
 
+def _expect(rows, kids, below: list[int], pick) -> tuple[list[int], list[list[int]]]:
+    """One induction step over a list of states, a whole layer at a time.
+
+    ``kids[i][f]`` indexes ``below``, the values one step further on, and
+    ``rows`` are the dice of :func:`_die_rows`.  Returns (values, sums):
+    ``sums[d][i]`` is die d's expectation sum_f P_f * below[kids[i][f]] at
+    state i, and ``values[i]`` the ``pick`` (max or min) of those over the
+    dice.  The sums are formed face by face over the whole list.
+    """
+    vals = [list(map(below.__getitem__, col)) for col in zip(*kids)]
+    sums = []
+    for row in rows:
+        (f, p), *rest = row
+        acc = list(map(mul, vals[f], repeat(p)))
+        for f, p in rest:
+            acc = list(map(add, acc, map(mul, vals[f], repeat(p))))
+        sums.append(acc)
+    return (sums[0] if len(sums) == 1 else list(map(pick, *sums))), sums
+
+
 def _induct(rows, kids, leaf_values: list[int], pick) -> tuple[list[list[int]], list[list[int]]]:
     """Backward induction over the layers of :func:`_layers`.
 
     ``rows`` are the dice of :func:`_die_rows` and ``leaf_values`` integers,
     so a value at depth t is a numerator over Q^(n-t), one denominator per
-    depth.  Each state is worth the ``pick`` (max or min) over dice of the
-    expected value of its children; both return the first extreme, so
-    ties go to the smallest die.  Returns (values, dies): ``values[t][i]``
-    for every depth t <= n and ``dies[t][i]``, the chosen die, for t < n.
+    depth; each layer is one :func:`_expect` step.  Returns (values, dies):
+    ``values[t][i]`` for every depth t <= n and ``dies[t][i]``, the first
+    die reaching the extreme (ties go to the smallest die), for t < n.
     """
     values = [leaf_values]
     dies = []
     for layer in reversed(kids):
-        below = values[-1]
-        layer_values, layer_dies = [], []
-        for kid in layer:
-            sums = [sum([p * below[kid[f]] for f, p in row]) for row in rows]
-            best = pick(sums)
-            layer_values.append(best)
-            layer_dies.append(sums.index(best))
-        values.append(layer_values)
-        dies.append(layer_dies)
+        best, sums = _expect(rows, layer, values[-1], pick)
+        values.append(best)
+        dies.append([col.index(v) for col, v in zip(zip(*sums), best)])
     values.reverse()
     dies.reverse()
     return values, dies
@@ -303,33 +331,116 @@ def exact_extremes(spec: SourceSpec, ext: ExtractorTable) -> BiasReport:
     )
 
 
+def _reach(ext: ExtractorTable, nfaces: int, depth: int) -> tuple[list, list[list[int]], list[int]]:
+    """Forward pass over the distinct states reachable within ``depth`` steps.
+
+    States are interned across depths in breadth-first order, so the
+    states first reached within d steps are ``states[:within[d]]``, a
+    prefix.  Returns (states, kids, within): ``kids[i][f]`` is the index
+    of the state that face f leads to from ``states[i]``, for the states
+    first reached within depth - 1 steps.  Each distinct state steps each
+    face at most once.
+    """
+    step = ext.step
+    faces = range(nfaces)
+    index = {ext.init: 0}
+    states = [ext.init]
+    kids: list[list[int]] = []
+    within = [1]
+    for _ in range(depth):
+        frontier = states[len(kids):]
+        kids += [[index.setdefault(step(s, f), len(index)) for f in faces] for s in frontier]
+        if len(index) > len(states):
+            states = list(index)
+        within.append(len(states))
+    return states, kids, within
+
+
+def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> list[Fraction]:
+    """Exact worst-case bias max(|max E[Ext]|, |min E[Ext]|) of the
+    table's machine run for n steps, for each n in ``ns``, in order.
+
+    Each value equals ``exact_extremes(spec, replace(ext, n=n)).bias``;
+    ``ext.n`` itself is not read, and an explicit table answers only at
+    its own n.  Each n, in order, is checked first for n < 0 and then
+    against the |F|^n guard, before any work is done.
+
+    A state's value with r steps left, W_r(s), does not depend on n: W_0
+    is ``finish`` and W_r the max (or min) die expectation of W_(r-1).  So
+    one forward pass to N = max(ns) and one max and one min sweep, W_r
+    over the states first reached within N - r steps, give W_n(init) / Q^n
+    for every n <= N, and no strategy tree is built.
+    """
+    if ext.output_kind != PM_ONE:
+        raise ValueError("exact_biases needs a +/-1 extractor")
+    for n in ns:
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        _check_tree_guard(spec, n)
+    q, rows = _die_rows(spec)
+    states, kids, within = _reach(ext, spec.num_faces, max(ns, default=0))
+    leaves = [ext.finish(s) for s in states]
+
+    def roots(pick) -> list[int]:
+        # roots(pick)[r] = W_r(init), a numerator over Q^r
+        values, out = leaves, [leaves[0]]
+        for r in range(1, len(within)):
+            values, _sums = _expect(rows, kids[: within[-1 - r]], values, pick)
+            out.append(values[0])
+        return out
+
+    his, los = roots(max), roots(min)
+    return [Fraction(max(abs(his[n]), abs(los[n])), q**n) for n in ns]
+
+
 def output_distribution(
     spec: SourceSpec, strategy: Strategy, ext: ExtractorTable
 ) -> dict[int, Fraction]:
     """Exact distribution of Ext under the strategy; probabilities sum to 1.
 
     Zero-probability branches are pruned, so point-mass dice cost no more
-    than the sequences they can actually produce.  Histories are walked
-    depth-first in order, with an explicit stack; a probability at depth
-    t is an integer numerator over Q^t (Q as in :func:`_die_rows`).
+    than the sequences they can actually produce.  A probability at depth
+    t is an integer numerator over Q^t (Q as in :func:`_die_rows`).  A
+    strategy is asked with the history at every node, and histories are
+    walked depth-first in order, with an explicit stack.  A constant
+    strategy (``Strategy.constant``) is read once instead, and its walk
+    keeps one probability per distinct state of each depth; the outputs
+    come in the same order, that of their first sequence.
     """
     _check_tree_guard(spec, ext.n)
     step, finish = ext.step, ext.finish
     q, rows = _die_rows(spec)
     pushes = [[(f, p) for f, p in reversed(row) if p > 0] for row in rows]
     ndice = len(pushes)
+    fixed = strategy.die
+    if fixed is not None:
+        # read once: no history is kept, and equal states of a depth merge
+        if ext.n:
+            _check_die(fixed, ndice)
+        leaves = {ext.init: 1}
+        for _ in range(ext.n):
+            layer, leaves = leaves, {}
+            for state, prob in layer.items():
+                for f, p in reversed(pushes[fixed]):
+                    kid = step(state, f)
+                    leaves[kid] = leaves.get(kid, 0) + prob * p
+        leaves = leaves.items()
+    else:
+        leaves = []
+        stack = [((), 1, ext.init)]
+        while stack:
+            history, prob, state = stack.pop()
+            if len(history) == ext.n:
+                leaves.append((state, prob))
+                continue
+            die = strategy.choose(history)
+            _check_die(die, ndice)
+            for f, p in pushes[die]:
+                stack.append((history + (f,), prob * p, step(state, f)))
     dist: dict[int, int] = {}
-    stack = [((), 1, ext.init)]
-    while stack:
-        history, prob, state = stack.pop()
-        if len(history) == ext.n:
-            out = finish(state)
-            dist[out] = dist.get(out, 0) + prob
-            continue
-        die = strategy.choose(history)
-        _check_die(die, ndice)
-        for f, p in pushes[die]:
-            stack.append((history + (f,), prob * p, step(state, f)))
+    for state, prob in leaves:
+        out = finish(state)
+        dist[out] = dist.get(out, 0) + prob
     scale = q**ext.n
     return {out: Fraction(prob, scale) for out, prob in dist.items()}
 

@@ -1,5 +1,6 @@
 """Classifier: kernels, the three conditions, witnesses, certificates."""
 
+import importlib
 import sys
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -31,6 +32,7 @@ from gsvkit import (
 )
 from gsvkit import linalg, validate_source
 from gsvkit.classify import (
+    _below_power,
     _combine_positive_variance,
     _dual_certificate,
     _nonconstant_on,
@@ -41,6 +43,7 @@ from gsvkit.presets import PRESETS, e1, e2, fair_coin, hidden_sv, sv_pair
 from specgen import random_hierarchical_spec, random_spec, random_zero_mean_spec
 
 SV = sv_pair("1/4")
+classify_module = importlib.import_module("gsvkit.classify")
 
 
 def _proportional(u, v):
@@ -318,6 +321,35 @@ def test_mvr_witness_random_hnk_sources():
         w = mvr_witness(spec, F(1, 8))
         for die in spec.dice:
             assert abs(die_mean(die, w)) < F(1, 8) * die_var(die, w)
+
+
+def test_variance_floor_matches_the_power(monkeypatch):
+    # x < eps^k decided without the power, against the power itself: at
+    # and next to eps^k, and on the variances mvr_witness checks on
+    # seeded sources with up to 6 dice
+    rng = Random(29)
+    for _ in range(300):
+        eps = F(rng.randint(1, 9), 10)
+        k = rng.randint(0, 40)
+        power = eps**k
+        for x in (power, power * F(99, 100), power * F(101, 100), power / 2 ** rng.randint(1, 9),
+                  F(rng.randint(1, 10**6), rng.randint(1, 10**9))):
+            assert _below_power(x, eps, k) == (x < power)
+    specs = [random_zero_mean_spec(rng, rng.randint(2, 4), rng.randint(1, 6))[0] for _ in range(12)]
+    specs += [random_hierarchical_spec(rng) for _ in range(6)] + [e2(), fair_coin()]
+    outcomes = []
+    for spec in specs:
+        for eps in (F(1, 16), F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
+            got = []
+            for below in (_below_power, lambda x, e, k: x < e**k):
+                monkeypatch.setattr(classify_module, "_below_power", below)
+                try:
+                    got.append(mvr_witness(spec, eps).values)
+                except EpsilonTooLargeError as exc:
+                    got.append(str(exc))
+            assert got[0] == got[1]
+            outcomes.append("below the floor" in str(got[0]))
+    assert any(outcomes) and not all(outcomes)
 
 
 # -- duality ---------------------------------------------------------------

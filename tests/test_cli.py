@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, reproducibility, file outputs."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import sys
@@ -24,6 +25,8 @@ from gsvkit import (
 )
 from gsvkit.cli import EXTRACTORS, _transcript, main
 from gsvkit.model import rat_str
+
+from specgen import random_hierarchical_spec, random_spec, random_zero_mean_spec
 
 
 def run(*argv) -> int:
@@ -329,7 +332,8 @@ def test_bias_deep_one_face_game(tmp_path):
 
 
 def test_bias_deep_one_face_table_steps_linearly(tmp_path, monkeypatch):
-    # a one-face table steps one prefix index per depth: n steps in all
+    # a one-face table has one state, prefix index 0, which the sweep
+    # interns across depths: it steps once in all, whatever n is
     load, calls = gsvkit.cli._load_table, 0
 
     def counted_load(path, num_faces):
@@ -350,7 +354,82 @@ def test_bias_deep_one_face_table_steps_linearly(tmp_path, monkeypatch):
     assert run("bias", "--source", str(source), "--extractor", str(table),
                "--out", str(out)) == 0
     assert out.read_text().splitlines() == ["n,bias", "20000,1"]
-    assert calls == 20_000
+    assert calls == 1
+
+
+@pytest.mark.parametrize("ns, code, err", [
+    ("3,-1", 65, "|F|^n = 2^3 exceeds the guard 4\n"),
+    ("-1,3", 64, "n must be nonnegative\n"),
+    ("2,5,-1", 65, "|F|^n = 2^5 exceeds the guard 4\n"),
+    ("1,-2,9", 64, "n must be nonnegative\n"),
+])
+def test_bias_checks_each_n_in_list_order(monkeypatch, capsys, ns, code, err):
+    # each n in turn is checked for n < 0 and then against the guard
+    monkeypatch.setenv("GSV_TREE_GUARD", "4")
+    assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp", f"--n={ns}") == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_bias_comma_lists_keep_order_and_repeats(capsys):
+    assert run("bias", "--source", "e2", "--extractor", "threshold", "--n", "3,1,3,0") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n,bias", "3,287/864", "1,1/6", "3,287/864", "0,1"
+    ]
+
+
+def _bias_corpus(tmp_path):
+    """(source, extractor, n list, epsilon) of seeded bias runs: presets,
+    specgen sources, ranges, comma lists with repeats, a guard refusal,
+    a non-extractable source and two table files."""
+    def source_file(name, spec):
+        path = tmp_path / f"{name}.json"
+        dice = [[rat_str(p) for p in die.probs] for die in spec.dice]
+        path.write_text(json.dumps({"faces": list(spec.face_labels), "dice": dice}))
+        return str(path)
+
+    rng = Random(2317)
+    runs = [
+        ("fair-coin", "bit-exp", "1..10", "1/16"),
+        ("fair-coin", "threshold", "0..6", "1/4"),
+        ("e2", "threshold", "1..6", "1/16"),
+        ("e2", "threshold", "1..13", "1/2"),
+        ("e2", "threshold", "12..15", "1/2"),
+        ("e2", "bit-exp", "0..6", "1/16"),
+        ("e2", "threshold", "3,1,3,0", "1/3"),
+        ("e2", "bit-exp", "5,2,5", "1/16"),
+        ("e1", "bit-exp", "1..3", "1/16"),
+    ]
+    for k in range(4):
+        spec, _psi = random_zero_mean_spec(rng, rng.randint(2, 3), rng.randint(1, 3))
+        runs.append((source_file(f"zm{k}", spec), "bit-exp", f"0..{rng.randint(4, 6)}", "1/16"))
+    for k in range(3):
+        spec = source_file(f"hier{k}", random_hierarchical_spec(rng))
+        runs.append((spec, "threshold", f"1..{rng.randint(3, 4)}", "1/8"))
+        runs.append((spec, "bit-exp", "4,0,2,2", "1/8"))
+    runs.append((source_file("rand", random_spec(rng, 3, 2)), "threshold", "1..3", "1/16"))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"n": 4, "outputs": [rng.choice((1, -1)) for _ in range(81)]}))
+    runs.append(("hidden-sv", str(table), "1..8", "1/16"))
+    table = tmp_path / "table2.json"
+    table.write_text(json.dumps({"n": 3, "outputs": [rng.choice((1, -1)) for _ in range(64)]}))
+    runs.append(("e1", str(table), "1..8", "1/16"))
+    return runs
+
+
+def test_bias_corpus_bytes_are_pinned(tmp_path, capsys):
+    # exit codes, CSV bytes and stderr of seeded bias runs, hashed: the
+    # digest was taken when each n was its own exact_extremes call
+    digest = hashlib.sha256()
+    out = tmp_path / "bias.csv"
+    for source, extractor, ns, eps in _bias_corpus(tmp_path):
+        out.unlink(missing_ok=True)
+        code = run("bias", "--source", source, "--extractor", extractor, "--n", ns,
+                   "--epsilon", eps, "--out", str(out))
+        text = out.read_bytes() if out.exists() else b""
+        digest.update(b"%d\n" % code + text + capsys.readouterr().err.encode())
+    assert digest.hexdigest() == (
+        "4520ecf0ae7872199443c101d22993e66b3597257117e3da9d2b7d0b21c0f3a2"
+    )
 
 
 def _reference_rows(extractor, psi, epsilon, faces, m):

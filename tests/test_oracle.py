@@ -32,6 +32,7 @@ from gsvkit.extractors import (
 from gsvkit.oracle import (
     BiasReport,
     ExtractorTable,
+    exact_biases,
     exact_extremes,
     exact_multibit_error,
     expectation,
@@ -398,6 +399,72 @@ def test_deep_one_face_games():
     assert tree == {}
 
 
+# -- bias sweeps ---------------------------------------------------------------
+
+
+def _sweep_cases():
+    """(spec, table, ns): machine tables swept over every n up to theirs
+    and over unsorted lists with repeats, explicit tables at their own n."""
+    rng = Random(67)
+    for spec, table in _seeded_oracle_cases():
+        yield spec, table, list(range(table.n + 1))
+    for k in range(6):
+        spec = random_spec(rng, rng.randint(2, 3), rng.randint(1, 3))
+        psi = [rng.choice((1, -1, F(1, 2), F(-1, 3), 0)) for _ in range(spec.num_faces)]
+        wit = Witness(psi, "NK")
+        n = 6 if spec.num_faces == 2 else 5
+        # M = 2 at epsilon 1/2: the walks freeze, so states recur across depths
+        yield spec, ExtractorTable.for_threshold(wit, F(1, 2), n), list(range(n + 1))
+        yield spec, ExtractorTable.for_bit_exp(wit, n), [n, 1, n, 0, 2]
+        m = rng.randint(0, 3)
+        outputs = [rng.choice((1, -1)) for _ in range(spec.num_faces**m)]
+        yield spec, ExtractorTable.from_outputs(m, spec.num_faces, outputs), [m]
+        yield spec, ExtractorTable.constant(4, rng.choice((1, -1))), [3, 0, 4, 4]
+    one = SourceSpec(("a",), [("1",)])
+    yield one, ExtractorTable.constant(30, -1), list(range(31))
+    yield one, ExtractorTable.for_bit_exp(Witness([0], "NK"), 30), [30, 0, 7]
+    yield one, ExtractorTable.from_outputs(30, 1, [-1]), [30]
+
+
+def test_bias_sweep_matches_exact_extremes_at_every_n():
+    for spec, table, ns in _sweep_cases():
+        want = [exact_extremes(spec, dataclasses.replace(table, n=n)).bias for n in ns]
+        assert exact_biases(spec, table, ns) == want
+
+
+def test_bias_sweep_checks_each_n_in_order(monkeypatch):
+    table = ExtractorTable.for_bit_exp(PM, 3)
+    assert exact_biases(SV, table, []) == []
+    assert exact_biases(SV, table, [0]) == [1]
+    monkeypatch.setenv("GSV_TREE_GUARD", "4")
+    with pytest.raises(TreeLimitError, match=r"^\|F\|\^n = 2\^3 exceeds the guard 4$"):
+        exact_biases(SV, table, [2, 3, -1])
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        exact_biases(SV, table, [2, -1, 3])
+    with pytest.raises(ValueError, match="needs a \\+/-1 extractor"):
+        exact_biases(SV, ExtractorTable.for_multibit(PM, 2, 1), [2])
+
+
+def test_bias_sweep_steps_each_state_once_per_face(monkeypatch):
+    # e2's threshold walk at epsilon 1/2 stays within a bounded set of
+    # states, so a sweep to n = 60 steps each of them once per face; the
+    # |F|^n guard does not measure that cost, so it is raised here
+    monkeypatch.setenv("GSV_TREE_GUARD", str(4**60))
+    eps = F(1, 2)
+    psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
+    table = ExtractorTable.for_threshold(psi, eps, 60)
+    steps = []
+
+    def counted(state, face):
+        steps.append((state, face))
+        return table.step(state, face)
+
+    biases = exact_biases(e2(), dataclasses.replace(table, step=counted), range(61))
+    # 2z runs over -5..5: a walk freezes once |2z| >= 4
+    assert len(steps) == len(set(steps)) == 4 * 11
+    assert biases[5] == exact_extremes(e2(), dataclasses.replace(table, n=5)).bias
+
+
 def test_bias_report_json_matches_json_dumps():
     # the explicit-stack writer against the json module, on the seeded
     # cases and on labels that need escaping
@@ -424,6 +491,14 @@ def test_from_outputs_names_the_first_output_that_is_not_a_sign():
     assert ExtractorTable.from_outputs(2, 2, [1, -1, -1, 1]).value((1, 1)) == 1
 
 
+def test_constant_table_refuses_outputs_other_than_signs():
+    one = SourceSpec(("a",), [("1",)])
+    for out in (5, 0, 2, "1"):
+        with pytest.raises(ValueError, match=f"^output {out!r} is not \\+1 or -1$"):
+            ExtractorTable.constant(2, out)
+    assert exact_extremes(one, ExtractorTable.constant(2, -1)).bias == 1
+
+
 # -- forward distributions ---------------------------------------------------
 
 
@@ -446,6 +521,23 @@ def test_distribution_refuses_a_die_outside_the_source(die):
     table = ExtractorTable.constant(2, 1)
     with pytest.raises(StrategyError, match=f"^strategy chose die {die}, have 3 dice$"):
         output_distribution(e2(), Strategy.constant(die), table)
+
+
+def test_constant_strategy_walks_no_histories():
+    # a constant strategy is read once: choose is never asked, and a deep
+    # one-face game keeps no history
+    one = SourceSpec(("a",), [("1",)])
+    strategy = Strategy.constant(0)
+    asked = []
+    strategy.choose = lambda history: asked.append(history) or 0
+    assert output_distribution(one, strategy, ExtractorTable.constant(20_000, 1)) == {1: 1}
+    assert asked == []
+    # the same distribution, outputs in the same order, as the history walk
+    for spec, table in _seeded_oracle_cases():
+        for die in range(spec.num_dice):
+            got = output_distribution(spec, Strategy.constant(die), table)
+            walked = output_distribution(spec, Strategy(lambda _h, d=die: d), table)
+            assert list(got.items()) == list(walked.items())
 
 
 def test_sv_constant_die_distribution():
