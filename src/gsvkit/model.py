@@ -19,9 +19,12 @@ everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate, repeat
 from math import lcm
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -399,47 +402,77 @@ class Strategy:
 
 
 def _check_die(die_index, ndice: int) -> None:
-    """Raise StrategyError unless a strategy's choice names one of the dice."""
-    if not isinstance(die_index, int) or not 0 <= die_index < ndice:
+    """Raise StrategyError unless a strategy's choice names one of the dice
+    (an ``int``: booleans refused, as :func:`rat` refuses them)."""
+    if type(die_index) is not int or not 0 <= die_index < ndice:
         raise StrategyError(f"strategy chose die {die_index!r}, have {ndice} dice")
+
+
+def _thresholds(die: Die) -> tuple[list[int], Fraction]:
+    """(T, mass): T_f = ceil(cum_f * 2^64) for the die's cumulative masses
+    cum_f, as running maxima, and the die's total mass.
+
+    The first f with u < T_f is the first with u < max(T_0..T_f), so the
+    running maxima change no draw; they keep T sorted for bisection when
+    a negative entry (outside the validated contract) lowers a cum_f.
+    """
+    thresholds = []
+    cum = Fraction(0)
+    for p in die.probs:
+        cum += p
+        thresholds.append(-((-cum.numerator << 64) // cum.denominator))
+    return list(accumulate(thresholds, max)), cum
+
+
+def _short_mass(die_index: int, mass: Fraction) -> ValueError:
+    return ValueError(f"die {die_index} is not a distribution (mass {mass} < 1)")
 
 
 def sample_sequence(spec: SourceSpec, strategy: Strategy, n: int, seed: int) -> tuple[int, ...]:
     """Draw ``n`` faces from the source under ``strategy``, reproducibly.
 
-    Each step draws a uniform 64-bit integer u from a seeded generator and
-    inverts the chosen die's exact cumulative distribution against it: the
-    face is the first f with u < T_f, where T_f = ceil(cum_f * 2^64) is
-    computed once per die, the first time the die is chosen.  For an
-    integer u that is exactly u/2^64 < cum_f, so the sampled path is a
-    deterministic function of (spec, strategy, n, seed) with exactly the
-    die's probabilities at 2^-64 granularity.  A constant strategy
-    (``Strategy.constant``) is read once; any other strategy is asked
-    with the history at every step.
+    Each step draws one uniform 64-bit integer u (``getrandbits(64)``,
+    one call per face, in order) from a generator seeded with ``seed``
+    and inverts the chosen die's exact cumulative distribution against
+    it: the face is the first f with u < T_f, where T_f =
+    ceil(cum_f * 2^64) is computed once per die, and is found by
+    ``bisect_right(T, u)``.  For an integer u, u < T_f is exactly
+    u/2^64 < cum_f, so the sampled path is a deterministic function of
+    (spec, strategy, n, seed) with exactly the die's probabilities at
+    2^-64 granularity.  A constant strategy (``Strategy.constant``) is
+    read once and its faces are bisected over the mapped stream of
+    draws; any other strategy is asked with the history before each
+    step's draw.
+
+    Raises ValueError for a negative ``n`` or ``seed`` (``Random`` seeds
+    with |seed|, so a negative seed would repeat the positive one's
+    faces) and for a draw past the last threshold of a die whose mass is
+    below one, and StrategyError for a choice that names no die.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = Random(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    draws = map(Random(seed).getrandbits, repeat(64, n))
     ndice = spec.num_dice
-    cdfs: dict[int, tuple[list[int], Fraction]] = {}  # die -> (thresholds, total mass)
     fixed = strategy.die
+    if fixed is not None and n:  # n = 0 checks no die, as on the history path
+        _check_die(fixed, ndice)
+        thresholds, mass = _thresholds(spec.dice[fixed])
+        faces = list(map(partial(bisect_right, thresholds), draws))
+        if mass != 1 and len(thresholds) in faces:
+            raise _short_mass(fixed, mass)
+        return tuple(faces)
+    cdfs: dict[int, tuple[list[int], Fraction]] = {}  # die -> (thresholds, total mass)
     out: list[int] = []
     for _ in range(n):
-        die_index = fixed if fixed is not None else strategy.choose(tuple(out))
-        cdf = cdfs.get(die_index) if isinstance(die_index, int) else None
+        die_index = strategy.choose(tuple(out))
+        cdf = cdfs.get(die_index) if type(die_index) is int else None
         if cdf is None:
             _check_die(die_index, ndice)
-            thresholds = []
-            cum = Fraction(0)
-            for p in spec.dice[die_index].probs:
-                cum += p
-                thresholds.append(-((-cum.numerator << 64) // cum.denominator))
-            cdf = cdfs[die_index] = (thresholds, cum)
-        u = rng.getrandbits(64)
-        for face, threshold in enumerate(cdf[0]):
-            if u < threshold:
-                out.append(face)
-                break
-        else:
-            raise ValueError(f"die {die_index} is not a distribution (mass {cdf[1]} < 1)")
+            cdf = cdfs[die_index] = _thresholds(spec.dice[die_index])
+        face = bisect_right(cdf[0], next(draws))
+        if face == len(cdf[0]):
+            raise _short_mass(die_index, cdf[1])
+        out.append(face)
     return tuple(out)

@@ -16,6 +16,7 @@ import gsvkit.fastmultibit
 from gsvkit import (
     BitExpState,
     MultiBitState,
+    Strategy,
     ThresholdState,
     Witness,
     bit_exp_step,
@@ -25,6 +26,7 @@ from gsvkit import (
 )
 from gsvkit.cli import EXTRACTORS, _transcript, main
 from gsvkit.model import rat_str
+from gsvkit.presets import e2
 
 from specgen import random_hierarchical_spec, random_spec, random_zero_mean_spec
 
@@ -202,6 +204,13 @@ def test_extract_fast_group_guard_exits_65(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("step ")
     assert captured.err.endswith(" groups, over the guard 3\n")
+
+
+def test_extract_negative_seed_exits_64(capsys):
+    assert run("extract", "--source", "e2", "--extractor", "threshold", "--n", "300",
+               "--seed", "-5") == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "seed must be nonnegative, got -5\n")
 
 
 def test_extract_non_extractable_exits_2():
@@ -429,6 +438,77 @@ def test_bias_corpus_bytes_are_pinned(tmp_path, capsys):
         digest.update(b"%d\n" % code + text + capsys.readouterr().err.encode())
     assert digest.hexdigest() == (
         "4520ecf0ae7872199443c101d22993e66b3597257117e3da9d2b7d0b21c0f3a2"
+    )
+
+
+def _extract_corpus(tmp_path):
+    """argv lists of seeded extract runs: every extractor, the presets
+    (non-extractable ones included) and specgen sources, constant,
+    worst-case and tree strategies, n from 0 to 5000, seeds 0 and
+    2^31 - 1."""
+    def source_file(name, spec):
+        path = tmp_path / f"{name}.json"
+        dice = [[rat_str(p) for p in die.probs] for die in spec.dice]
+        path.write_text(json.dumps({"faces": list(spec.face_labels), "dice": dice}))
+        return str(path)
+
+    def tree_file(name, spec, n):
+        # a strategy that switches dice at every step
+        ndice = spec.num_dice
+        strategy = Strategy(lambda h: (len(h) + sum(h)) % ndice)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(strategy.to_tree(spec, n)))
+        return str(path)
+
+    top = str(2**31 - 1)
+    e2_tree = tree_file("e2tree", e2(), 6)
+    runs = [
+        ("e2", "threshold", 5000, "0", "constant:0"),
+        ("e2", "threshold", 5000, top, "constant:1"),
+        ("e2", "bit-exp", 5000, "0", "constant:2"),
+        ("e2", "bit-exp", 1, top, "constant:1"),
+        ("e2", "multibit-naive", 5000, "0", "constant:1", "2"),
+        ("e2", "multibit-fast", 5000, top, "constant:2", "3"),
+        ("e2", "threshold", 0, "0", "constant:0"),
+        ("e2", "threshold", 5, "0", "worst-case"),
+        ("e2", "bit-exp", 8, top, "worst-case"),
+        ("e2", "threshold", 6, "0", e2_tree),
+        ("e2", "multibit-naive", 6, top, e2_tree, "3"),
+        ("fair-coin", "threshold", 5000, "0", "constant:0"),
+        ("fair-coin", "bit-exp", 5000, top, "constant:0"),
+        ("fair-coin", "multibit-fast", 1, "0", "constant:0", "1"),
+        ("fair-coin", "multibit-naive", 0, top, "constant:0", "2"),
+        ("fair-coin", "bit-exp", 8, "0", "worst-case"),
+        ("fair-coin", "threshold", 1, top, "worst-case"),
+        ("fair-coin", "threshold", 3, "0", "constant:1"),
+        ("sv:1/3", "threshold", 5000, "0", "constant:0"),
+        ("sv:1/3", "bit-exp", 1, top, "constant:1"),
+        ("hidden-sv", "bit-exp", 5000, "0", "constant:0"),
+        ("hidden-sv", "threshold", 0, top, "constant:1"),
+    ]
+    rng = Random(2417)
+    for k in range(4):
+        spec, _psi = random_zero_mean_spec(rng, rng.randint(2, 4), rng.randint(2, 3))
+        source = source_file(f"zm{k}", spec)
+        seed = ("0", top)[k % 2]
+        runs.append((source, ("threshold", "bit-exp")[k % 2], 5000, seed,
+                     f"constant:{spec.num_dice - 1}"))
+        runs.append((source, "threshold", 7, seed, tree_file(f"zm{k}tree", spec, 7)))
+    return [["extract", "--source", source, "--extractor", extractor, "--n", str(n),
+             "--seed", seed, "--strategy", strategy, *(["--m", m[0]] if m else [])]
+            for source, extractor, n, seed, strategy, *m in runs]
+
+
+def test_extract_corpus_bytes_are_pinned(tmp_path, capsys):
+    # exit codes, stdout and stderr of seeded extract runs, hashed: the
+    # digest was taken when each draw scanned its die's thresholds in turn
+    digest = hashlib.sha256()
+    for argv in _extract_corpus(tmp_path):
+        code = run(*argv)
+        captured = capsys.readouterr()
+        digest.update(b"%d\n" % code + captured.out.encode() + captured.err.encode())
+    assert digest.hexdigest() == (
+        "60a0b4d570c1677a7b3f6138f7bb7a447a1eb9974b3105775d38d7e54161ec88"
     )
 
 

@@ -212,6 +212,26 @@ def test_sample_matches_the_fraction_cdf_reference():
             assert constant == _reference_sample(spec, Strategy.constant(die), 500, die)
 
 
+def test_sample_matches_the_reference_at_scale():
+    # every die of every preset on the constant path, a callback that
+    # switches dice at every step, and dice with a negative entry (outside
+    # the validated contract), whose cumulative masses are not sorted
+    specs = [preset() for preset in (fair_coin, e1, e2, hidden_sv)] + [sv_pair("1/3")]
+    for k, spec in enumerate(specs):
+        for die in range(spec.num_dice):
+            got = sample_sequence(spec, Strategy.constant(die), 20_000, k)
+            assert got == _reference_sample(spec, Strategy.constant(die), 20_000, k)
+        switching = Strategy(lambda h, d=spec.num_dice: len(h) % d)
+        got = sample_sequence(spec, switching, 3000, k)
+        assert got == _reference_sample(spec, switching, 3000, k)
+    unsorted = SourceSpec(("a", "b", "c"), [("1/2", "-1/4", "3/4"), ("3/2", "-1/3", "-1/6")])
+    for die in range(2):
+        got = sample_sequence(unsorted, Strategy.constant(die), 2000, die)
+        assert got == _reference_sample(unsorted, Strategy.constant(die), 2000, die)
+    got = sample_sequence(unsorted, Strategy(lambda h: len(h) % 2), 2000, 3)
+    assert got == _reference_sample(unsorted, Strategy(lambda h: len(h) % 2), 2000, 3)
+
+
 def test_sample_draws_at_the_cdf_boundaries(monkeypatch):
     # u/2^64 < cum exactly: u = ceil(cum * 2^64) - 1 is the last variate of
     # a face, for a non-dyadic and a dyadic cumulative mass alike
@@ -243,6 +263,34 @@ def test_sampling_needs_a_valid_source():
     assert not validate_source(deficient).ok
     with pytest.raises(ValueError):
         sample_sequence(deficient, Strategy.constant(0), 50, 0)
+
+
+def test_a_deficient_die_strands_a_draw_on_every_path():
+    deficient = SourceSpec(("a", "b"), [("1", "0"), ("1/4", "1/4")])
+    message = r"^die 1 is not a distribution \(mass 1/2 < 1\)$"
+    for strategy in (Strategy.constant(1), Strategy(lambda h: 1), Strategy(lambda h: len(h) % 2)):
+        with pytest.raises(ValueError, match=message):
+            sample_sequence(deficient, strategy, 50, 0)
+
+
+def test_sample_rejects_negative_seeds():
+    # Random seeds with |seed|: -5 would repeat the faces of seed 5
+    spec = e2()
+    for strategy in (Strategy.constant(1), Strategy(lambda h: len(h) % 3)):
+        for n in (0, 300):
+            with pytest.raises(ValueError, match="^seed must be nonnegative, got -5$"):
+                sample_sequence(spec, strategy, n, -5)
+        assert len(sample_sequence(spec, strategy, 300, 0)) == 300
+
+
+def test_sample_refuses_boolean_dice():
+    # True is an int to Python and hashes like 1, so it must be refused
+    # even after die 1 has been drawn
+    spec = e2()
+    for strategy in (Strategy.constant(True), Strategy(lambda h: True),
+                     Strategy(lambda h: True if h else 1), Strategy(lambda h: False)):
+        with pytest.raises(StrategyError, match="^strategy chose die (True|False), have 3 dice$"):
+            sample_sequence(spec, strategy, 4, 0)
 
 
 def test_sample_frequency_regression():

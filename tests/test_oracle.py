@@ -515,12 +515,14 @@ def test_xor_of_fair_flips_is_uniform():
     assert dist == {1: F(1, 2), -1: F(1, 2)}
 
 
-@pytest.mark.parametrize("die", [-1, 5])
+@pytest.mark.parametrize("die", [-1, 5, True])
 def test_distribution_refuses_a_die_outside_the_source(die):
-    # e2 has 3 dice: -1 must not play die 2, and 5 must not raise IndexError
+    # e2 has 3 dice: -1 must not play die 2, 5 must not raise IndexError,
+    # and True (an int to Python) must not play die 1
     table = ExtractorTable.constant(2, 1)
-    with pytest.raises(StrategyError, match=f"^strategy chose die {die}, have 3 dice$"):
-        output_distribution(e2(), Strategy.constant(die), table)
+    for strategy in (Strategy.constant(die), Strategy(lambda _h: die)):
+        with pytest.raises(StrategyError, match=f"^strategy chose die {die}, have 3 dice$"):
+            output_distribution(e2(), strategy, table)
 
 
 def test_constant_strategy_walks_no_histories():
