@@ -189,28 +189,39 @@ def _digits(x: int) -> int:
     return d - (d > 1 and x < 10 ** (d - 1))
 
 
-def _transcript(extractor: _Extractor, psi: Witness, epsilon, faces, m: int) -> str:
-    """The step CSV: one row per sample with the witness value and the
-    extractor's z summary after the step.
+def _formattable(values, name: Callable[[int], str]):
+    """Yield ``values`` (exact rationals) in order.
 
-    A z whose numerator or denominator has more digits than Python's
+    A value whose numerator or denominator has more digits than Python's
     int-to-str limit cannot be formatted; that raises DigitLimitError at
-    its step (the limit is never raised).
+    it, named by ``name(i)`` from its position i (the limit is never
+    raised).
     """
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    bound = 10**limit  # the smallest integer with more than limit digits
+    bound = 0  # 10**limit, the smallest integer with more than limit digits, once needed
+    for i, value in enumerate(values):
+        widest = max(abs(value.numerator), value.denominator)
+        if limit and widest.bit_length() > 3 * limit:  # else widest < 2^(3 limit) < 10^limit
+            bound = bound or 10**limit
+            if widest >= bound:
+                raise DigitLimitError(
+                    f"{name(i)} has {_digits(widest)} digits, over the "
+                    f"int-to-str limit of {limit} digits"
+                )
+        yield value
+
+
+def _transcript(extractor: _Extractor, psi: Witness, epsilon, faces, m: int) -> str:
+    """The step CSV: one row per sample with the witness value and the
+    extractor's z summary after the step; a z too wide to format raises
+    DigitLimitError at its step."""
     psi_text = [rat_str(v) for v in psi.values]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("step", "face", "psi_value", "z_summary"))
-    summaries = extractor.summaries(psi, epsilon, faces, m)
+    summaries = _formattable(extractor.summaries(psi, epsilon, faces, m),
+                             lambda i: f"transcript z at step {i + 1}")
     for i, (face, z) in enumerate(zip(faces, summaries), start=1):
-        widest = max(abs(z.numerator), z.denominator)
-        if limit and widest >= bound:
-            raise DigitLimitError(
-                f"transcript z at step {i} has {_digits(widest)} digits, over the "
-                f"int-to-str limit of {limit} digits"
-            )
         writer.writerow((i, face, psi_text[face], rat_str(z)))
     return buf.getvalue()
 
@@ -268,7 +279,8 @@ def cmd_bias(args) -> int:
     else:
         table = _load_table(args.extractor, spec.num_faces)
         ns = [table.n]
-    rows = [(n, rat_str(bias)) for n, bias in zip(ns, exact_biases(spec, table, ns))]
+    biases = _formattable(exact_biases(spec, table, ns), lambda i: f"bias at n = {ns[i]}")
+    rows = [(n, rat_str(bias)) for n, bias in zip(ns, biases)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("n", "bias"))

@@ -40,7 +40,8 @@ class SubsetLimitError(GuardError):
 
 
 class TreeLimitError(GuardError):
-    """The |F|^n game tree exceeds the cost guard (TREE_LIMIT)."""
+    """A call visits more game-tree nodes, equal states counted once, than
+    its cost guard allows (TREE_LIMIT)."""
 
     guard = "TREE_LIMIT"
 

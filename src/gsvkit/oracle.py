@@ -27,8 +27,8 @@ takes the max or min die expectation at every state, and one bottom-up
 builder makes the strategy trees.  Nodes with equal states share
 subtrees: the trees are read-only DAGs that expand to the full |F|^n
 trees only when walked or serialised, which gives the same bytes.
-Nothing here recurses, tree serialisation included, so the game depth
-is bounded by time and memory only.
+Nothing here recurses, tree serialisation included.  The cost guard
+counts the game-tree nodes a call visits, equal states once, as it goes.
 
 A bias sweep needs no tree, and a state's value with r steps left does
 not depend on n.  So :func:`exact_biases` interns states across depths
@@ -50,7 +50,6 @@ Everything is deterministic: die ties resolve to the smallest index.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -70,20 +69,19 @@ __all__ = [
     "exact_multibit_error",
     "greedy_plus_strategy",
     "output_distribution",
-    "tree_guard",
 ]
 
-DEFAULT_TREE_GUARD = 10**8
+TREE_GUARD = 10**7  # game-tree nodes one call may visit; equal states count once
 DEFAULT_ENUM_GUARD = 10**6
 
 PM_ONE = "pm1"
 INDEX = "index"
 
 
-def tree_guard() -> int:
-    """The |F|^n cost guard; overridable via GSV_TREE_GUARD."""
-    raw = os.environ.get("GSV_TREE_GUARD")
-    return int(raw) if raw else DEFAULT_TREE_GUARD
+def _visit(count: int, what: str) -> None:
+    """Refuse a call past TREE_GUARD game-tree nodes, read at each check."""
+    if count > TREE_GUARD:
+        raise TreeLimitError(f"{count} {what}, over the guard {TREE_GUARD}")
 
 
 def _fold(init, step: Callable, finish: Callable, faces: tuple[int, ...]) -> int:
@@ -190,12 +188,16 @@ class BiasReport:
         an explicit stack so that trees of any depth serialise."""
         out: list[str] = []
         todo: list = [(self.to_jsonable(), 0)]  # (value, depth) or literal text
+        nodes = 0
         while todo:
             item = todo.pop()
             if isinstance(item, str):
                 out.append(item)
                 continue
             value, depth = item
+            if isinstance(value, dict) and depth & 1:  # tree nodes: roots at depth 1, kids 2 below
+                nodes += 1
+                _visit(nodes, "strategy-tree nodes written")
             if not isinstance(value, dict) or not value:
                 out.append(json.dumps(value))
                 continue
@@ -208,12 +210,6 @@ class BiasReport:
                 todo.append(("," if i else "{") + pad + json.dumps(key) + ": ")
         out.append("\n")
         return "".join(out)
-
-
-def _check_tree_guard(spec: SourceSpec, n: int) -> None:
-    limit = tree_guard()
-    if spec.num_faces**n > limit:
-        raise TreeLimitError(f"|F|^n = {spec.num_faces}^{n} exceeds the guard {limit}")
 
 
 def _layers(ext: ExtractorTable, nfaces: int) -> tuple[list[list[list[int]]], list[int]]:
@@ -229,10 +225,13 @@ def _layers(ext: ExtractorTable, nfaces: int) -> tuple[list[list[list[int]]], li
     faces = range(nfaces)
     layer = [ext.init]
     kids = []
+    seen = 1
     for _ in range(ext.n):
         index: dict = {}
         kids.append([[index.setdefault(step(s, f), len(index)) for f in faces] for s in layer])
         layer = list(index)
+        seen += len(layer)
+        _visit(seen, "game-tree states interned")
     return kids, [finish(s) for s in layer]
 
 
@@ -283,6 +282,17 @@ def _induct(rows, kids, leaf_values: list[int], pick) -> tuple[list[list[int]], 
     return values, dies
 
 
+def _first_history(kids, t: int, i: int) -> tuple[int, ...]:
+    """The smallest history reaching the i-th state at depth t of
+    :func:`_layers`, read back through the first (parent, face) pointing
+    to each state on the way: that pair interned the state."""
+    history: tuple[int, ...] = ()
+    for layer in reversed(kids[:t]):
+        i, f = next((p, f) for p, row in enumerate(layer) for f, k in enumerate(row) if k == i)
+        history = (f, *history)
+    return history
+
+
 def _tree(labels: Sequence[str], kids, dies: list[list[int]], nleaves: int) -> dict:
     """The strategy tree playing ``dies[t][i]`` at the i-th state of depth
     t, built bottom-up from the ``nleaves`` leaves.  Nodes with equal
@@ -311,7 +321,6 @@ def exact_extremes(spec: SourceSpec, ext: ExtractorTable) -> BiasReport:
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("exact_extremes needs a +/-1 extractor")
-    _check_tree_guard(spec, ext.n)
     labels = spec.face_labels
     q, rows = _die_rows(spec)
     kids, leaves = _layers(ext, spec.num_faces)
@@ -351,6 +360,7 @@ def _reach(ext: ExtractorTable, nfaces: int, depth: int) -> tuple[list, list[lis
         frontier = states[len(kids):]
         kids += [[index.setdefault(step(s, f), len(index)) for f in faces] for s in frontier]
         if len(index) > len(states):
+            _visit(len(index), "game-tree states interned")
             states = list(index)
         within.append(len(states))
     return states, kids, within
@@ -362,8 +372,8 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
 
     Each value equals ``exact_extremes(spec, replace(ext, n=n)).bias``;
     ``ext.n`` itself is not read, and an explicit table answers only at
-    its own n.  Each n, in order, is checked first for n < 0 and then
-    against the |F|^n guard, before any work is done.
+    its own n.  Every n is checked for n < 0 before any work is done;
+    the guard then counts the distinct states the sweep interns.
 
     A state's value with r steps left, W_r(s), does not depend on n: W_0
     is ``finish`` and W_r the max (or min) die expectation of W_(r-1).  So
@@ -373,10 +383,8 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("exact_biases needs a +/-1 extractor")
-    for n in ns:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        _check_tree_guard(spec, n)
+    if any(n < 0 for n in ns):
+        raise ValueError("n must be nonnegative")
     q, rows = _die_rows(spec)
     states, kids, within = _reach(ext, spec.num_faces, max(ns, default=0))
     leaves = [ext.finish(s) for s in states]
@@ -405,9 +413,9 @@ def output_distribution(
     walked depth-first in order, with an explicit stack.  A constant
     strategy (``Strategy.constant``) is read once instead, and its walk
     keeps one probability per distinct state of each depth; the outputs
-    come in the same order, that of their first sequence.
+    come in the same order, that of their first sequence.  The guard
+    counts the leaves walked, or the states of a constant strategy's walk.
     """
-    _check_tree_guard(spec, ext.n)
     step, finish = ext.step, ext.finish
     q, rows = _die_rows(spec)
     pushes = [[(f, p) for f, p in reversed(row) if p > 0] for row in rows]
@@ -418,12 +426,15 @@ def output_distribution(
         if ext.n:
             _check_die(fixed, ndice)
         leaves = {ext.init: 1}
+        seen = 1
         for _ in range(ext.n):
             layer, leaves = leaves, {}
             for state, prob in layer.items():
                 for f, p in reversed(pushes[fixed]):
                     kid = step(state, f)
                     leaves[kid] = leaves.get(kid, 0) + prob * p
+            seen += len(leaves)
+            _visit(seen, "game-tree states reached")
         leaves = leaves.items()
     else:
         leaves = []
@@ -432,6 +443,7 @@ def output_distribution(
             history, prob, state = stack.pop()
             if len(history) == ext.n:
                 leaves.append((state, prob))
+                _visit(len(leaves), "histories walked")
                 continue
             die = strategy.choose(history)
             _check_die(die, ndice)
@@ -473,7 +485,6 @@ def exact_multibit_error(
         raise ValueError("exact_multibit_error needs an index-output extractor")
     if strategy is not None:
         return _tv_from_uniform(output_distribution(spec, strategy, ext), ext.out_size)
-    _check_tree_guard(spec, ext.n)
     if (1 << ext.out_size) - 2 > DEFAULT_ENUM_GUARD:
         raise EnumLimitError(
             f"2^{ext.out_size} - 2 output sets exceed the guard {DEFAULT_ENUM_GUARD}"
@@ -515,12 +526,10 @@ def greedy_plus_strategy(spec: SourceSpec, ext: ExtractorTable, epsilon) -> Stra
         raise ValueError("greedy_plus_strategy needs a +/-1 extractor")
     eps = rat(epsilon)
     e_num, e_den = eps.numerator, eps.denominator
-    _check_tree_guard(spec, ext.n)
     labels = spec.face_labels
-    nfaces = spec.num_faces
     q, rows = _die_rows(spec)
     masses = [sum(p for _f, p in row) for row in rows]
-    kids, leaves = _layers(ext, nfaces)
+    kids, leaves = _layers(ext, spec.num_faces)
     adv, _dies = _induct(rows, kids, [1 if out == 1 else 0 for out in leaves], min)
 
     def gain_die(a: int, kid_adv: list[int], r: int) -> int | None:
@@ -537,22 +546,13 @@ def greedy_plus_strategy(spec: SourceSpec, ext: ExtractorTable, epsilon) -> Stra
     for t, layer in enumerate(kids):
         here, below, r = adv[t], adv[t + 1], q ** (ext.n - t - 1)
         dies.append([gain_die(here[i], [below[k] for k in kid], r) for i, kid in enumerate(layer)])
-    if any(None in layer for layer in dies):
-        # Every interned state is reachable, so this depth-first walk meets
-        # a failing one; a state seen before heads a subtree already walked.
-        stack, seen = [((), 0)], set()
-        while True:
-            history, i = stack.pop()
-            t = len(history)
-            if (t, i) in seen:
-                continue
-            if dies[t][i] is None:
-                raise NoQualifyingDieError(
-                    f"no die satisfies the gain inequality at history {history}"
-                )
-            seen.add((t, i))
-            if t + 1 < ext.n:
-                stack.extend((history + (f,), kids[t][i][f]) for f in reversed(range(nfaces)))
+    # A layer numbers its states in the order of their smallest histories,
+    # so the least failing history in tuple order (depth-first order) is
+    # the least of each failing layer's first failing state's smallest one.
+    failing = [(t, layer.index(None)) for t, layer in enumerate(dies) if None in layer]
+    if failing:
+        history = min(_first_history(kids, t, i) for t, i in failing)
+        raise NoQualifyingDieError(f"no die satisfies the gain inequality at history {history}")
     strategy = Strategy.from_tree(_tree(labels, kids, dies, len(leaves)), labels)
     strategy.description = "greedy-plus"
     return strategy

@@ -13,6 +13,7 @@ import pytest
 
 import gsvkit.cli
 import gsvkit.fastmultibit
+import gsvkit.oracle
 from gsvkit import (
     BitExpState,
     MultiBitState,
@@ -24,8 +25,10 @@ from gsvkit import (
     threshold_bound_m,
     threshold_step,
 )
-from gsvkit.cli import EXTRACTORS, _transcript, main
-from gsvkit.model import rat_str
+from gsvkit.classify import classify
+from gsvkit.cli import EXTRACTORS, _auto_witness, _transcript, main
+from gsvkit.model import rat_str, sample_sequence
+from gsvkit.oracle import ExtractorTable, exact_extremes
 from gsvkit.presets import e2
 
 from specgen import random_hierarchical_spec, random_spec, random_zero_mean_spec
@@ -115,6 +118,19 @@ def test_extract_worst_case_strategy(tmp_path):
     assert run(*args, "--out", str(out1)) == 0
     assert run(*args, "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_extract_worst_case_runs_deep_games_on_few_states(tmp_path):
+    # e2's threshold walk at epsilon 1/2 keeps a bounded set of states, so
+    # the guard, which counts them, lets a 4^200 game through
+    out = tmp_path / "w.json"
+    assert run("extract", "--source", "e2", "--extractor", "threshold", "--epsilon", "1/2",
+               "--n", "200", "--seed", "3", "--strategy", "worst-case", "--out", str(out)) == 0
+    spec, eps = e2(), F(1, 2)
+    psi = _auto_witness(spec, classify(spec), eps)
+    strategy = exact_extremes(spec, ExtractorTable.for_threshold(psi, eps, 200)).max_strategy
+    faces = sample_sequence(spec, strategy, 200, 3)
+    assert json.loads(out.read_text())["bits"] == EXTRACTORS["threshold"].fold(psi, eps, faces, 1)
 
 
 def test_extract_long_bit_exp_walk_exits_0(tmp_path):
@@ -309,10 +325,33 @@ def test_bias_table_file_of_the_wrong_size_exits_64_without_forming_the_power(tm
     assert elapsed < 1.0
 
 
-def test_bias_guard_exit(monkeypatch):
-    monkeypatch.setenv("GSV_TREE_GUARD", "2")
+def test_bias_guard_exit(monkeypatch, capsys):
+    monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", 2)
     assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp",
                "--n", "4..6") == 65
+    assert capsys.readouterr() == ("", "3 game-tree states interned, over the guard 2\n")
+
+
+def test_bias_digit_guard_names_the_first_row_in_list_order(capsys):
+    # the exact bias outgrows Python's int-to-str limit as n grows: a typed
+    # guard names the first row too wide to format, and nothing is written
+    args = ("bias", "--source", "e2", "--extractor", "threshold", "--epsilon", "1/2")
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert run(*args, "--n", "1..800") == 65
+        assert capsys.readouterr() == (
+            "", "bias at n = 718 has 641 digits, over the int-to-str limit of 640 digits\n")
+        assert run(*args, "--n", "3,800,717,718") == 65
+        assert capsys.readouterr() == (
+            "", "bias at n = 800 has 710 digits, over the int-to-str limit of 640 digits\n")
+        assert run(*args, "--n", "717") == 0  # 633 digits
+        assert capsys.readouterr().out.startswith("n,bias\n717,")
+        sys.set_int_max_str_digits(0)  # no limit: every row is written
+        assert run(*args, "--n", "800") == 0
+        assert capsys.readouterr().out.startswith("n,bias\n800,")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_bias_rejects_negative_n(capsys):
@@ -329,8 +368,8 @@ def test_bias_rejects_empty_range(capsys):
 
 
 def test_bias_deep_one_face_game(tmp_path):
-    # a one-face source never trips the |F|^n guard, so the depth is only
-    # bounded by time: n = 2000 is past Python's recursion limit
+    # a one-face table has one state, so the guard lets any depth through:
+    # n = 2000 is past Python's recursion limit
     source, table = tmp_path / "one.json", tmp_path / "table.json"
     source.write_text(json.dumps({"faces": ["a"], "dice": [["1"]]}))
     table.write_text(json.dumps({"n": 2000, "outputs": [1]}))
@@ -367,16 +406,31 @@ def test_bias_deep_one_face_table_steps_linearly(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("ns, code, err", [
-    ("3,-1", 65, "|F|^n = 2^3 exceeds the guard 4\n"),
+    ("3,-1", 64, "n must be nonnegative\n"),
     ("-1,3", 64, "n must be nonnegative\n"),
-    ("2,5,-1", 65, "|F|^n = 2^5 exceeds the guard 4\n"),
+    ("2,5,-1", 64, "n must be nonnegative\n"),
     ("1,-2,9", 64, "n must be nonnegative\n"),
+    ("2,5", 65, "7 game-tree states interned, over the guard 4\n"),
 ])
 def test_bias_checks_each_n_in_list_order(monkeypatch, capsys, ns, code, err):
-    # each n in turn is checked for n < 0 and then against the guard
-    monkeypatch.setenv("GSV_TREE_GUARD", "4")
+    # a negative n anywhere in the list is refused before any work; only
+    # then does the guard count the states the sweep interns
+    monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", 4)
     assert run("bias", "--source", "fair-coin", "--extractor", "bit-exp", f"--n={ns}") == code
     assert capsys.readouterr() == ("", err)
+
+
+def test_bias_deep_sweep_on_few_states(capsys):
+    # 4^15 sequences, but the walk freezes once |2z| >= 4: few states
+    assert run("bias", "--source", "e2", "--extractor", "threshold", "--epsilon", "1/2",
+               "--n", "12..15") == 0
+    assert capsys.readouterr() == ("".join(row + "\n" for row in [
+        "n,bias",
+        "12,1017001529/1719926784",
+        "13,63593837273/123834728448",
+        "14,147737615417/247669456896",
+        "15,3120477988961/5944066965504",
+    ]), "")
 
 
 def test_bias_comma_lists_keep_order_and_repeats(capsys):
@@ -386,10 +440,22 @@ def test_bias_comma_lists_keep_order_and_repeats(capsys):
     ]
 
 
+def _assert_corpus_digest(tmp_path, runs, pinned: str) -> None:
+    """``runs`` yields (argv, bytes) per run; the sha256 of all the bytes
+    in order must be ``pinned``.  On a mismatch the message lists a short
+    digest of each run next to its argv, to diff against another commit."""
+    digest, lines = hashlib.sha256(), []
+    for argv, blob in runs:
+        digest.update(blob)
+        shown = " ".join(argv).replace(f"{tmp_path}/", "")
+        lines.append(f"{hashlib.sha256(blob).hexdigest()[:12]}  {shown}")
+    assert digest.hexdigest() == pinned, "per-run sha256:\n" + "\n".join(lines)
+
+
 def _bias_corpus(tmp_path):
     """(source, extractor, n list, epsilon) of seeded bias runs: presets,
-    specgen sources, ranges, comma lists with repeats, a guard refusal,
-    a non-extractable source and two table files."""
+    specgen sources, ranges, comma lists with repeats, a deep sweep on
+    few states, a non-extractable source and two table files."""
     def source_file(name, spec):
         path = tmp_path / f"{name}.json"
         dice = [[rat_str(p) for p in die.probs] for die in spec.dice]
@@ -427,17 +493,21 @@ def _bias_corpus(tmp_path):
 
 def test_bias_corpus_bytes_are_pinned(tmp_path, capsys):
     # exit codes, CSV bytes and stderr of seeded bias runs, hashed: the
-    # digest was taken when each n was its own exact_extremes call
-    digest = hashlib.sha256()
+    # digest was taken when each n was its own exact_extremes call, with
+    # the 12..15 sweep's |F|^n guard raised
     out = tmp_path / "bias.csv"
-    for source, extractor, ns, eps in _bias_corpus(tmp_path):
-        out.unlink(missing_ok=True)
-        code = run("bias", "--source", source, "--extractor", extractor, "--n", ns,
-                   "--epsilon", eps, "--out", str(out))
-        text = out.read_bytes() if out.exists() else b""
-        digest.update(b"%d\n" % code + text + capsys.readouterr().err.encode())
-    assert digest.hexdigest() == (
-        "4520ecf0ae7872199443c101d22993e66b3597257117e3da9d2b7d0b21c0f3a2"
+
+    def runs():
+        for source, extractor, ns, eps in _bias_corpus(tmp_path):
+            out.unlink(missing_ok=True)
+            argv = ["bias", "--source", source, "--extractor", extractor, "--n", ns,
+                    "--epsilon", eps, "--out", str(out)]
+            code = run(*argv)
+            text = out.read_bytes() if out.exists() else b""
+            yield argv, b"%d\n" % code + text + capsys.readouterr().err.encode()
+
+    _assert_corpus_digest(
+        tmp_path, runs(), "de132c63f4eca468a530a41aa53172e6614c3603d15b827b38c636a5ffc4ce11"
     )
 
 
@@ -502,13 +572,14 @@ def _extract_corpus(tmp_path):
 def test_extract_corpus_bytes_are_pinned(tmp_path, capsys):
     # exit codes, stdout and stderr of seeded extract runs, hashed: the
     # digest was taken when each draw scanned its die's thresholds in turn
-    digest = hashlib.sha256()
-    for argv in _extract_corpus(tmp_path):
-        code = run(*argv)
-        captured = capsys.readouterr()
-        digest.update(b"%d\n" % code + captured.out.encode() + captured.err.encode())
-    assert digest.hexdigest() == (
-        "60a0b4d570c1677a7b3f6138f7bb7a447a1eb9974b3105775d38d7e54161ec88"
+    def runs():
+        for argv in _extract_corpus(tmp_path):
+            code = run(*argv)
+            captured = capsys.readouterr()
+            yield argv, b"%d\n" % code + captured.out.encode() + captured.err.encode()
+
+    _assert_corpus_digest(
+        tmp_path, runs(), "60a0b4d570c1677a7b3f6138f7bb7a447a1eb9974b3105775d38d7e54161ec88"
     )
 
 

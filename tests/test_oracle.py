@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import gsvkit.oracle
 from gsvkit import (
     EnumLimitError,
     NoQualifyingDieError,
@@ -38,7 +39,6 @@ from gsvkit.oracle import (
     expectation,
     greedy_plus_strategy,
     output_distribution,
-    tree_guard,
 )
 from gsvkit.presets import e1, e2, fair_coin, sv_pair
 
@@ -103,16 +103,41 @@ def test_extremes_match_their_strategies():
 
 
 def test_tree_guard_raises(monkeypatch):
-    monkeypatch.setenv("GSV_TREE_GUARD", "1")
+    monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", 1)
     with pytest.raises(TreeLimitError):
         exact_extremes(SV, FIRST_BIT)
 
 
-def test_tree_guard_env_override(monkeypatch):
-    monkeypatch.setenv("GSV_TREE_GUARD", "3")
-    assert tree_guard() == 3
-    with pytest.raises(TreeLimitError):
-        exact_extremes(SV, ExtractorTable.from_outputs(2, 2, [1, -1, -1, 1]))
+def test_tree_guard_counts_the_nodes_each_pass_visits(monkeypatch):
+    # each pass counts the game-tree nodes it visits, equal states once,
+    # and refuses one past its count, naming the count and the limit;
+    # |F|^n (4^10 on e2, 2^6 on SV) decides nothing
+    psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
+    walk = ExtractorTable.for_threshold(psi, F(1, 2), 10)  # freezes once |2z| >= 4
+    bits = ExtractorTable.for_bit_exp(PM, 6)
+    states, leaves = "game-tree states interned", "histories walked"
+    cases = [
+        (lambda: exact_extremes(e2(), walk), 102, states),  # per-depth layers
+        (lambda: greedy_plus_strategy(SV, bits, "1/8"), 63, states),
+        (lambda: exact_multibit_error(SV, ExtractorTable.for_multibit(PM, 4, 1)), 23, states),
+        (lambda: exact_biases(e2(), walk, [10, 3]), 11, states),  # one sweep across depths
+        (lambda: output_distribution(e2(), Strategy.constant(1), walk), 102,
+         "game-tree states reached"),
+        (lambda: output_distribution(SV, Strategy(lambda h: len(h) % 2), bits), 64, leaves),
+    ]
+    for call, count, what in cases:
+        monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", count - 1)
+        with pytest.raises(TreeLimitError, match=f"^{count} {what}, over the guard {count - 1}$"):
+            call()
+        monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", count)
+        call()
+    # a one-state table: the oracle visits 61 states, but the trees it
+    # writes out are the full 4^60 ones
+    monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", 61)
+    report = exact_extremes(e2(), ExtractorTable.constant(60, 1))
+    assert report.bias == 1
+    with pytest.raises(TreeLimitError, match="^62 strategy-tree nodes written, over the guard 61$"):
+        report.to_json()
 
 
 # -- history-walk references ---------------------------------------------------
@@ -213,6 +238,15 @@ def test_memoised_oracle_matches_history_walk():
             assert json.dumps(strategy.to_tree(spec, table.n)) == want
             outcomes.add("built")
     assert outcomes == {"built", "refused"}
+
+
+def test_greedy_names_the_first_failing_history_in_depth_first_order():
+    # history (1,) fails one step sooner, but (0, 0) comes first depth-first
+    spec = SourceSpec(("a", "b"), [("5/9", "4/9")])
+    table = ExtractorTable.from_outputs(3, 2, [-1, 1, -1, 1, -1, -1, 1, 1])
+    for greedy in (greedy_plus_strategy, _greedy_tree_by_history):
+        with pytest.raises(NoQualifyingDieError, match=r"at history \(0, 0\)$"):
+            greedy(spec, table, F(1, 8))
 
 
 def _distribution_by_history(spec, strategy, ext):
@@ -436,20 +470,20 @@ def test_bias_sweep_checks_each_n_in_order(monkeypatch):
     table = ExtractorTable.for_bit_exp(PM, 3)
     assert exact_biases(SV, table, []) == []
     assert exact_biases(SV, table, [0]) == [1]
-    monkeypatch.setenv("GSV_TREE_GUARD", "4")
-    with pytest.raises(TreeLimitError, match=r"^\|F\|\^n = 2\^3 exceeds the guard 4$"):
-        exact_biases(SV, table, [2, 3, -1])
-    with pytest.raises(ValueError, match="^n must be nonnegative$"):
-        exact_biases(SV, table, [2, -1, 3])
+    # a negative n anywhere is refused before the guard counts anything
+    monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", 4)
+    for ns in ([2, 3, -1], [2, -1, 3]):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            exact_biases(SV, table, ns)
+    with pytest.raises(TreeLimitError, match="^7 game-tree states interned, over the guard 4$"):
+        exact_biases(SV, table, [2, 3])
     with pytest.raises(ValueError, match="needs a \\+/-1 extractor"):
         exact_biases(SV, ExtractorTable.for_multibit(PM, 2, 1), [2])
 
 
-def test_bias_sweep_steps_each_state_once_per_face(monkeypatch):
+def test_bias_sweep_steps_each_state_once_per_face():
     # e2's threshold walk at epsilon 1/2 stays within a bounded set of
-    # states, so a sweep to n = 60 steps each of them once per face; the
-    # |F|^n guard does not measure that cost, so it is raised here
-    monkeypatch.setenv("GSV_TREE_GUARD", str(4**60))
+    # states, so a sweep to n = 60 steps each of them once per face
     eps = F(1, 2)
     psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
     table = ExtractorTable.for_threshold(psi, eps, 60)
