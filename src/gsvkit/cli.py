@@ -29,13 +29,22 @@ import io
 import json
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import extractors as ex
 from .classify import Category, _mvr_witness, classify
 from .errors import DigitLimitError, GsvError, GuardError, SpecFormatError
 from .fastmultibit import FastMultibitState, multibit_extract_fast
-from .model import SourceSpec, Strategy, Witness, rat, rat_str, sample_sequence, validate_source
+from .model import (
+    SourceSpec,
+    Strategy,
+    Witness,
+    _read_json,
+    rat,
+    rat_str,
+    sample_sequence,
+    validate_source,
+)
 from .oracle import ExtractorTable, exact_biases, exact_extremes
 from .presets import load_source
 
@@ -77,7 +86,7 @@ def _resolve_strategy(spec: SourceSpec, arg: str, table: ExtractorTable | None) 
             raise SpecFormatError(f"constant strategy die {die} out of range")
         return Strategy.constant(die)
     with open(arg, encoding="utf-8") as fh:
-        tree = json.load(fh)
+        tree = _read_json(fh.read(), "strategy")
     return Strategy.from_tree(tree, spec.face_labels)
 
 
@@ -85,7 +94,7 @@ def _load_table(path: str, num_faces: int) -> ExtractorTable:
     """The table of an extractor table file, {"n": n, "outputs": [...]}
     with JSON integers only (``type is int`` keeps out floats and bools)."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _read_json(fh.read(), "extractor table")
     outputs = doc.get("outputs") if isinstance(doc, dict) else None
     if not isinstance(outputs, list) or any(type(x) is not int for x in [doc.get("n"), *outputs]):
         raise SpecFormatError(
@@ -94,10 +103,12 @@ def _load_table(path: str, num_faces: int) -> ExtractorTable:
     return ExtractorTable.from_outputs(doc["n"], num_faces, outputs)
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> Sequence[int]:
+    """A "lo..hi" range (a ``range``: nothing is listed before the oracle's
+    guard has counted the sweep) or a comma list."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        values = range(int(lo), int(hi) + 1)
         if not values:
             raise ValueError(f"empty range {text}: lo must not exceed hi")
         return values
@@ -275,7 +286,7 @@ def cmd_bias(args) -> int:
         if build is None:
             raise SpecFormatError("bias sweeps need a single-bit extractor")
         ns = _parse_range(args.n)
-        table = build(psi, epsilon, max(ns))
+        table = build(psi, epsilon, 0)  # exact_biases reads each n from ns, not from the table
     else:
         table = _load_table(args.extractor, spec.num_faces)
         ns = [table.n]

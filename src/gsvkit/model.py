@@ -12,8 +12,10 @@ even from sampling — the inverse-CDF draw compares an integer uniform
 64-bit variate against the integers ceil(cum * 2^64) of the exact
 rational cumulative probabilities.
 
-All types are immutable values; all operations are pure functions, so
-everything here is safe for unrestricted concurrent use.
+All types are immutable values and all operations are pure functions,
+so everything here is safe for unrestricted concurrent use.  The one
+cache is a tree strategy's table of the nodes it has walked, which only
+grows, one dict operation at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, repeat
 from math import lcm
 from random import Random
@@ -139,10 +141,7 @@ class SourceSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SourceSpec":
-        try:
-            doc = json.loads(text, parse_float=_reject_float)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"bad source JSON: {exc}") from exc
+        doc = _read_json(text, "source", _reject_float)
         if not isinstance(doc, dict) or "faces" not in doc or "dice" not in doc:
             raise SpecFormatError('source JSON must be {"faces": [...], "dice": [[...], ...]}')
         faces, dice = doc["faces"], doc["dice"]
@@ -163,6 +162,18 @@ def _reject_float(text: str) -> Fraction:
     raise SpecFormatError(
         f"bare float {text} in JSON: quote it as a decimal or 'p/q' string"
     )
+
+
+def _read_json(text: str, what: str, parse_float: Callable | None = None):
+    """Parse one input document (a source, strategy tree or extractor
+    table): text that is not JSON, or that nests deeper than the parser's
+    recursion limit, raises SpecFormatError naming ``what``."""
+    try:
+        return json.loads(text, parse_float=parse_float)
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(f"bad {what} JSON: {exc}") from exc
+    except RecursionError:
+        raise SpecFormatError(f"bad {what} JSON: nested too deep to parse") from None
 
 
 class WitnessKind(Enum):
@@ -319,67 +330,121 @@ def validate_source(spec: SourceSpec) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-class Strategy:
-    """An adaptive adversary: a deterministic map from histories to dice.
+def _same(state, _face):
+    """The step of a one-state machine: a constant strategy's."""
+    return state
 
-    Wraps either a callback or an explicit tree.  Determinism (same
-    history, same die) is part of the contract for callback strategies;
-    tree strategies are deterministic by construction.
+
+def _extend(history: History, face: int) -> History:
+    """The step of a callback strategy, whose state is its history."""
+    return history + (face,)
+
+
+class _TreeFault(Exception):
+    """A fault a tree strategy's machine meets.  The machine does not
+    know the history it is asked at, so its caller names it:
+    ``at(history)`` is the StrategyError to raise."""
+
+    def __init__(self, head: str, tail: str = ""):
+        super().__init__(head, tail)
+        self.head, self.tail = head, tail
+
+    def at(self, history: Sequence[int]) -> StrategyError:
+        return StrategyError(f"{self.head}{tuple(history)}{self.tail}")
+
+
+class Strategy:
+    """An adaptive adversary: a deterministic state machine (init, step, die).
+
+    The die played after a history is ``die(state)``, where ``state`` is
+    what the history's faces step ``init`` to, one ``step(state, face)``
+    per face.  Samplers and the oracle step a strategy only between
+    draws, never past the last face.  States must be hashable, and equal
+    states must play alike from there on: the oracle keeps one
+    probability per distinct (strategy state, table state) pair.  The
+    kinds, and what a step costs:
+
+    * ``Strategy.constant(k)`` has one state;
+    * ``Strategy.from_tree`` steps a node pointer in O(1), so nodes that
+      parents share (the oracle's DAGs) are one state;
+    * ``Strategy(callback)`` keeps the history as its state and plays
+      ``callback(history)``.  Each step copies the history, so n steps
+      cost O(n^2).  Determinism (same history, same die) is part of the
+      contract for callbacks.
+
+    ``Strategy(die, description, init, step)`` builds any other machine.
     """
 
-    def __init__(self, choose: Callable[[History], int], description: str = "strategy"):
-        self._choose = choose
+    def __init__(self, die: Callable, description: str = "strategy", init=(),
+                 step: Callable = _extend):
+        self.init, self.step, self.die = init, step, die
         self.description = description
-        #: the die a constant strategy always picks; None for any other
-        self.die: int | None = None
 
     def choose(self, history: Sequence[int]) -> int:
-        return self._choose(tuple(history))
+        """The die played after ``history``."""
+        history = tuple(history)
+        try:
+            # a callback's state is its history and a constant's is init:
+            # no fold, which would make one Python call per face
+            if self.step is _extend:
+                state = history
+            elif self.step is _same:
+                state = self.init
+            else:
+                state = reduce(self.step, history, self.init)
+            return self.die(state)
+        except _TreeFault as fault:
+            raise fault.at(history) from None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Strategy({self.description})"
 
     @classmethod
     def constant(cls, die_index: int) -> "Strategy":
-        strategy = cls(lambda _h: die_index, f"constant:{die_index}")
-        strategy.die = die_index
-        return strategy
+        return cls(lambda _state: die_index, f"constant:{die_index}", 0, _same)
 
     @classmethod
     def from_tree(cls, tree: dict, face_labels: Sequence[str]) -> "Strategy":
         """Build a strategy from its explicit tree form.
 
         A node is ``{"die": k, "children": {face_label: node}}``; nodes at
-        the padded depth carry no die.  Walking past the tree, a node that
-        is not an object, or a die that is not an ``int`` (booleans
-        refused, as :func:`rat` refuses them) raises StrategyError naming
-        the history.
+        the padded depth carry no die.  A state is a node pointer: the id
+        of a node, which a table of the nodes walked so far keeps alive
+        and unique.  Walking past the tree, a node that is not an object,
+        or a die that is not an ``int`` (booleans refused, as :func:`rat`
+        refuses them) raises StrategyError naming the history.  Treat
+        the tree as read-only once it is wrapped.
         """
         labels = list(face_labels)
+        nodes = {id(tree): tree}
+        not_an_object = ("strategy tree walk to history ", " meets a node that is not an object")
 
-        def choose(history: History) -> int:
-            node = tree
+        def step(node_id: int, face: int) -> int:
             try:
-                for face in history:
-                    children = node.get("children", {})
-                    key = labels[face]
-                    if key not in children:
-                        raise StrategyError(f"strategy tree has no branch for history {history}")
-                    node = children[key]
-                if "die" not in node:
-                    raise StrategyError(f"strategy tree has no die at history {history}")
-                die = node["die"]
+                children = nodes[node_id].get("children", {})
+                key = labels[face]
+                if key not in children:
+                    raise _TreeFault("strategy tree has no branch for history ")
+                child = children[key]
             except (AttributeError, TypeError):  # a node or its children is not an object
-                raise StrategyError(
-                    f"strategy tree walk to history {history} meets a node that is not an object"
-                ) from None
-            if type(die) is not int:
-                raise StrategyError(
-                    f"strategy tree die {die!r} at history {history} is not an integer"
-                )
-            return die
+                raise _TreeFault(*not_an_object) from None
+            nodes.setdefault(id(child), child)
+            return id(child)
 
-        return cls(choose, "tree")
+        def die(node_id: int) -> int:
+            node = nodes[node_id]
+            try:
+                if "die" not in node:
+                    raise _TreeFault("strategy tree has no die at history ")
+                die_index = node["die"]
+            except (AttributeError, TypeError):
+                raise _TreeFault(*not_an_object) from None
+            if type(die_index) is not int:
+                raise _TreeFault(f"strategy tree die {die_index!r} at history ",
+                                 " is not an integer")
+            return die_index
+
+        return cls(die, "tree", id(tree), step)
 
     def to_tree(self, spec: SourceSpec, n: int) -> dict:
         """Materialize the explicit depth-``n`` tree over ``spec``'s faces.
@@ -439,10 +504,11 @@ def sample_sequence(spec: SourceSpec, strategy: Strategy, n: int, seed: int) -> 
     ``bisect_right(T, u)``.  For an integer u, u < T_f is exactly
     u/2^64 < cum_f, so the sampled path is a deterministic function of
     (spec, strategy, n, seed) with exactly the die's probabilities at
-    2^-64 granularity.  A constant strategy (``Strategy.constant``) is
-    read once and its faces are bisected over the mapped stream of
-    draws; any other strategy is asked with the history before each
-    step's draw.
+    2^-64 granularity.  The strategy's machine is stepped with each face
+    before the next die is read, so a tree strategy costs O(1) per face.
+    A constant strategy (``Strategy.constant``) has one state: its die
+    is read once and its faces are bisected over the mapped stream of
+    draws.
 
     Raises ValueError for a negative ``n`` or ``seed`` (``Random`` seeds
     with |seed|, so a negative seed would repeat the positive one's
@@ -455,24 +521,31 @@ def sample_sequence(spec: SourceSpec, strategy: Strategy, n: int, seed: int) -> 
         raise ValueError(f"seed must be nonnegative, got {seed}")
     draws = map(Random(seed).getrandbits, repeat(64, n))
     ndice = spec.num_dice
-    fixed = strategy.die
-    if fixed is not None and n:  # n = 0 checks no die, as on the history path
+    if strategy.step is _same and n:  # n = 0 reads no die, as for any other strategy
+        fixed = strategy.die(strategy.init)
         _check_die(fixed, ndice)
         thresholds, mass = _thresholds(spec.dice[fixed])
         faces = list(map(partial(bisect_right, thresholds), draws))
         if mass != 1 and len(thresholds) in faces:
             raise _short_mass(fixed, mass)
         return tuple(faces)
+    step, die = strategy.step, strategy.die
+    state = strategy.init
     cdfs: dict[int, tuple[list[int], Fraction]] = {}  # die -> (thresholds, total mass)
     out: list[int] = []
-    for _ in range(n):
-        die_index = strategy.choose(tuple(out))
-        cdf = cdfs.get(die_index) if type(die_index) is int else None
-        if cdf is None:
-            _check_die(die_index, ndice)
-            cdf = cdfs[die_index] = _thresholds(spec.dice[die_index])
-        face = bisect_right(cdf[0], next(draws))
-        if face == len(cdf[0]):
-            raise _short_mass(die_index, cdf[1])
-        out.append(face)
+    try:
+        for draw in draws:
+            if out:
+                state = step(state, out[-1])
+            die_index = die(state)
+            cdf = cdfs.get(die_index) if type(die_index) is int else None
+            if cdf is None:
+                _check_die(die_index, ndice)
+                cdf = cdfs[die_index] = _thresholds(spec.dice[die_index])
+            face = bisect_right(cdf[0], draw)
+            if face == len(cdf[0]):
+                raise _short_mass(die_index, cdf[1])
+            out.append(face)
+    except _TreeFault as fault:
+        raise fault.at(out) from None
     return tuple(out)

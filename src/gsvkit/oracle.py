@@ -57,9 +57,18 @@ from itertools import repeat
 from operator import add, mul
 from typing import Callable, Sequence
 
-from .errors import EnumLimitError, NoQualifyingDieError, TreeLimitError
+from .errors import EnumLimitError, NoQualifyingDieError, StrategyError, TreeLimitError
 from .extractors import _bit_exp_machine, _naive_machine, _threshold_machine
-from .model import SourceSpec, Strategy, Witness, _check_die, _integer_rows, rat, rat_str
+from .model import (
+    SourceSpec,
+    Strategy,
+    Witness,
+    _check_die,
+    _integer_rows,
+    _TreeFault,
+    rat,
+    rat_str,
+)
 
 __all__ = [
     "BiasReport",
@@ -348,7 +357,14 @@ def _reach(ext: ExtractorTable, nfaces: int, depth: int) -> tuple[list, list[lis
     prefix.  Returns (states, kids, within): ``kids[i][f]`` is the index
     of the state that face f leads to from ``states[i]``, for the states
     first reached within depth - 1 steps.  Each distinct state steps each
-    face at most once.
+    face at most once.  The pass stops at the first depth that adds no
+    state, so ``within`` may end before ``depth``: every later depth
+    reaches the same states.
+
+    The guard counts the states interned and, as they grow, the (state,
+    steps left) pairs a sweep to ``depth`` takes: the sum over d < depth
+    of within[min(d, D)], with D the last depth listed.  So a sweep too
+    long for the guard is refused before anything loops once per step.
     """
     step = ext.step
     faces = range(nfaces)
@@ -356,13 +372,17 @@ def _reach(ext: ExtractorTable, nfaces: int, depth: int) -> tuple[list, list[lis
     states = [ext.init]
     kids: list[list[int]] = []
     within = [1]
-    for _ in range(depth):
+    swept = 0  # the pairs of the depths d < len(within) - 1
+    while len(within) <= depth and len(kids) < len(states):
+        swept += within[-1]
+        _visit(swept, "(state, steps left) pairs to sweep")
         frontier = states[len(kids):]
         kids += [[index.setdefault(step(s, f), len(index)) for f in faces] for s in frontier]
         if len(index) > len(states):
             _visit(len(index), "game-tree states interned")
             states = list(index)
         within.append(len(states))
+    _visit(swept + (depth + 1 - len(within)) * len(states), "(state, steps left) pairs to sweep")
     return states, kids, within
 
 
@@ -372,8 +392,10 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
 
     Each value equals ``exact_extremes(spec, replace(ext, n=n)).bias``;
     ``ext.n`` itself is not read, and an explicit table answers only at
-    its own n.  Every n is checked for n < 0 before any work is done;
-    the guard then counts the distinct states the sweep interns.
+    its own n.  Every n is checked for n < 0 before any work is done
+    (a ``range`` by its ends, so a huge one is not walked); the guard
+    then counts the distinct states the sweep interns and the (state,
+    steps left) pairs it would take, before any loop over n.
 
     A state's value with r steps left, W_r(s), does not depend on n: W_0
     is ``finish`` and W_r the max (or min) die expectation of W_(r-1).  So
@@ -383,17 +405,20 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("exact_biases needs a +/-1 extractor")
-    if any(n < 0 for n in ns):
+    ends = (ns[0], ns[-1]) if isinstance(ns, range) and ns else ns
+    if min(ends, default=0) < 0:
         raise ValueError("n must be nonnegative")
+    top = max(ends, default=0)
     q, rows = _die_rows(spec)
-    states, kids, within = _reach(ext, spec.num_faces, max(ns, default=0))
+    states, kids, within = _reach(ext, spec.num_faces, top)
     leaves = [ext.finish(s) for s in states]
+    last = len(within) - 1
 
     def roots(pick) -> list[int]:
         # roots(pick)[r] = W_r(init), a numerator over Q^r
         values, out = leaves, [leaves[0]]
-        for r in range(1, len(within)):
-            values, _sums = _expect(rows, kids[: within[-1 - r]], values, pick)
+        for r in range(1, top + 1):
+            values, _sums = _expect(rows, kids[: within[min(top - r, last)]], values, pick)
             out.append(values[0])
         return out
 
@@ -401,60 +426,91 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
     return [Fraction(max(abs(his[n]), abs(los[n])), q**n) for n in ns]
 
 
+def _no_state(_state, _face) -> None:
+    """The strategy step past the last face, where no die is read."""
+    return None
+
+
 def output_distribution(
     spec: SourceSpec, strategy: Strategy, ext: ExtractorTable
 ) -> dict[int, Fraction]:
     """Exact distribution of Ext under the strategy; probabilities sum to 1.
 
-    Zero-probability branches are pruned, so point-mass dice cost no more
-    than the sequences they can actually produce.  A probability at depth
-    t is an integer numerator over Q^t (Q as in :func:`_die_rows`).  A
-    strategy is asked with the history at every node, and histories are
-    walked depth-first in order, with an explicit stack.  A constant
-    strategy (``Strategy.constant``) is read once instead, and its walk
-    keeps one probability per distinct state of each depth; the outputs
-    come in the same order, that of their first sequence.  The guard
-    counts the leaves walked, or the states of a constant strategy's walk.
+    One forward pass keeps one probability per distinct (strategy state,
+    table state) pair of each depth, and reads the strategy's die once
+    per pair.  So histories that reach equal pairs merge: a constant
+    strategy costs one pair per table state, and a tree strategy's shared
+    subtrees (the oracle's DAGs) stay shared.  Zero-probability faces are
+    pruned, and the strategy is not stepped past the last face.  A
+    probability at depth t is an integer numerator over Q^t (Q as in
+    :func:`_die_rows`).  Pairs, and so the outputs, come in the order of
+    their first sequence, as a depth-first walk over the histories gives
+    them.  The guard counts the pairs reached.
+
+    A StrategyError is the one that walk would meet first, at the least
+    failing history in tuple order: on that path only,
+    :func:`_first_fault` walks again to find it.
     """
     step, finish = ext.step, ext.finish
     q, rows = _die_rows(spec)
-    pushes = [[(f, p) for f, p in reversed(row) if p > 0] for row in rows]
+    pushes = [[(f, p) for f, p in row if p > 0] for row in rows]
     ndice = len(pushes)
-    fixed = strategy.die
-    if fixed is not None:
-        # read once: no history is kept, and equal states of a depth merge
-        if ext.n:
-            _check_die(fixed, ndice)
-        leaves = {ext.init: 1}
-        seen = 1
-        for _ in range(ext.n):
-            layer, leaves = leaves, {}
-            for state, prob in layer.items():
-                for f, p in reversed(pushes[fixed]):
-                    kid = step(state, f)
-                    leaves[kid] = leaves.get(kid, 0) + prob * p
-            seen += len(leaves)
+    die = strategy.die
+    layer = {(strategy.init, ext.init): 1}
+    seen = 1
+    try:
+        for t in range(ext.n):
+            walk = strategy.step if t + 1 < ext.n else _no_state
+            layer, pairs = {}, layer
+            for (state, x), prob in pairs.items():
+                die_index = die(state)
+                _check_die(die_index, ndice)
+                for f, p in pushes[die_index]:
+                    kid = (walk(state, f), step(x, f))
+                    layer[kid] = layer.get(kid, 0) + prob * p
+            seen += len(layer)
             _visit(seen, "game-tree states reached")
-        leaves = leaves.items()
-    else:
-        leaves = []
-        stack = [((), 1, ext.init)]
-        while stack:
-            history, prob, state = stack.pop()
-            if len(history) == ext.n:
-                leaves.append((state, prob))
-                _visit(len(leaves), "histories walked")
-                continue
-            die = strategy.choose(history)
-            _check_die(die, ndice)
-            for f, p in pushes[die]:
-                stack.append((history + (f,), prob * p, step(state, f)))
+    except (StrategyError, _TreeFault):
+        _first_fault(strategy, ext, pushes)
+        raise
     dist: dict[int, int] = {}
-    for state, prob in leaves:
-        out = finish(state)
+    for (_state, x), prob in layer.items():
+        out = finish(x)
         dist[out] = dist.get(out, 0) + prob
     scale = q**ext.n
     return {out: Fraction(prob, scale) for out, prob in dist.items()}
+
+
+def _first_fault(strategy: Strategy, ext: ExtractorTable, pushes) -> None:
+    """Raise the strategy fault a depth-first walk over the histories
+    meets first, naming its history.
+
+    The walk keeps the history on its way down but visits each distinct
+    (depth, strategy state, table state) node once: a node met again was
+    walked in full before without a fault.  Returns if it meets none.
+    """
+    step, die = strategy.step, strategy.die
+    ndice = len(pushes)
+    walked: set = set()
+    path: list[int] = []
+    stack = [(0, 0, None, ext.init)]  # (depth, face into it, parent's strategy state, table state)
+    while stack:
+        t, face, parent, x = stack.pop()
+        if t:
+            del path[t - 1:]
+            path.append(face)
+        try:
+            state = step(parent, face) if t else strategy.init
+            if (t, state, x) in walked:
+                continue
+            walked.add((t, state, x))
+            _visit(len(walked), "game-tree states reached")
+            die_index = die(state)
+        except _TreeFault as fault:
+            raise fault.at(path) from None
+        _check_die(die_index, ndice)
+        if t + 1 < ext.n:
+            stack.extend((t + 1, f, state, ext.step(x, f)) for f, _p in reversed(pushes[die_index]))
 
 
 def expectation(dist: dict[int, Fraction]) -> Fraction:

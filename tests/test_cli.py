@@ -433,6 +433,33 @@ def test_bias_deep_sweep_on_few_states(capsys):
     ]), "")
 
 
+@pytest.mark.parametrize("n, count", [
+    ("99999999999999999999", 143 * 10**20 - 1217),
+    ("1..1000000000000", 143 * 10**12 - 1074),
+], ids=["one-n", "range"])
+def test_bias_refuses_a_huge_n_before_looping_over_it(capsys, n, count):
+    # 143 states, reached within a few steps: the guard counts the sweep's
+    # (state, steps left) pairs and refuses before any loop or list grows
+    # with n
+    assert run("bias", "--source", "e2", "--extractor", "threshold", "--epsilon", "1/2",
+               "--n", n) == 65
+    assert capsys.readouterr() == (
+        "", f"{count} (state, steps left) pairs to sweep, over the guard 10000000\n")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("classify", "--source", "{}"), "source"),
+    (("bias", "--source", "fair-coin", "--extractor", "{}"), "extractor table"),
+    (("extract", "--source", "fair-coin", "--n", "2", "--strategy", "{}"), "strategy"),
+], ids=["source", "table", "strategy"])
+def test_deeply_nested_json_exits_64(tmp_path, capsys, argv, what):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(*[arg.format(path) for arg in argv]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"bad {what} JSON: nested too deep to parse\n")
+
+
 def test_bias_comma_lists_keep_order_and_repeats(capsys):
     assert run("bias", "--source", "e2", "--extractor", "threshold", "--n", "3,1,3,0") == 0
     assert capsys.readouterr().out.splitlines() == [

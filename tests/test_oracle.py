@@ -2,8 +2,9 @@
 
 import dataclasses
 import json
+import re
 from fractions import Fraction as F
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from random import Random
 
@@ -40,6 +41,7 @@ from gsvkit.oracle import (
     greedy_plus_strategy,
     output_distribution,
 )
+from gsvkit.model import sample_sequence
 from gsvkit.presets import e1, e2, fair_coin, sv_pair
 
 from specgen import PSI_POOL, random_hierarchical_spec, random_spec, random_zero_mean_spec
@@ -115,19 +117,25 @@ def test_tree_guard_counts_the_nodes_each_pass_visits(monkeypatch):
     psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
     walk = ExtractorTable.for_threshold(psi, F(1, 2), 10)  # freezes once |2z| >= 4
     bits = ExtractorTable.for_bit_exp(PM, 6)
-    states, leaves = "game-tree states interned", "histories walked"
+    states, pairs = "game-tree states interned", "game-tree states reached"
+    greedy = greedy_plus_strategy(SV, bits, "1/8")
     cases = [
         (lambda: exact_extremes(e2(), walk), 102, states),  # per-depth layers
         (lambda: greedy_plus_strategy(SV, bits, "1/8"), 63, states),
         (lambda: exact_multibit_error(SV, ExtractorTable.for_multibit(PM, 4, 1)), 23, states),
-        (lambda: exact_biases(e2(), walk, [10, 3]), 11, states),  # one sweep across depths
-        (lambda: output_distribution(e2(), Strategy.constant(1), walk), 102,
-         "game-tree states reached"),
-        (lambda: output_distribution(SV, Strategy(lambda h: len(h) % 2), bits), 64, leaves),
+        # one sweep across depths: 11 states, 92 (state, steps left) pairs
+        (lambda: exact_biases(e2(), walk, [10, 3]), 92, "(state, steps left) pairs to sweep"),
+        # (strategy state, table state) pairs: one strategy state, the
+        # greedy DAG's nodes (its 63 interned states), and a callback's
+        # histories, 2^t at depth t < 6 and 24 table states at depth 6
+        (lambda: output_distribution(e2(), Strategy.constant(1), walk), 102, pairs),
+        (lambda: output_distribution(SV, greedy, bits), 63, pairs),
+        (lambda: output_distribution(SV, Strategy(lambda h: len(h) % 2), bits), 87, pairs),
     ]
     for call, count, what in cases:
         monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", count - 1)
-        with pytest.raises(TreeLimitError, match=f"^{count} {what}, over the guard {count - 1}$"):
+        message = f"^{count} {re.escape(what)}, over the guard {count - 1}$"
+        with pytest.raises(TreeLimitError, match=message):
             call()
         monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", count)
         call()
@@ -249,20 +257,48 @@ def test_greedy_names_the_first_failing_history_in_depth_first_order():
             greedy(spec, table, F(1, 8))
 
 
-def _distribution_by_history(spec, strategy, ext):
+def _distribution_by_history(spec, choose, ext):
+    """The history-walk reference: every history depth-first, in order,
+    asking ``choose(history)`` for its die at each one shorter than n and
+    folding each leaf through ``ext.value``.  The first failing history
+    raises, with the library's text for a die outside the source."""
     dist = {}
-
-    def walk(history, prob):
+    stack = [((), F(1))]
+    while stack:
+        history, prob = stack.pop()
         if len(history) == ext.n:
             out = ext.value(history)
             dist[out] = dist.get(out, F(0)) + prob
-            return
-        for f, p in enumerate(spec.dice[strategy.choose(history)].probs):
-            if p > 0:
-                walk(history + (f,), prob * p)
-
-    walk((), F(1))
+            continue
+        die = choose(history)
+        if type(die) is not int or not 0 <= die < spec.num_dice:
+            raise StrategyError(f"strategy chose die {die!r}, have {spec.num_dice} dice")
+        probs = spec.dice[die].probs
+        stack.extend((history + (f,), prob * probs[f])
+                     for f in reversed(range(spec.num_faces)) if probs[f] > 0)
     return dist
+
+
+def _tree_choice(tree, labels, history):
+    """The reference tree walk: the die at ``history``, walked from the
+    root of a tree (or DAG) of dicts, with the library's error texts."""
+    node = tree
+    try:
+        for face in history:
+            children = node.get("children", {})
+            if labels[face] not in children:
+                raise StrategyError(f"strategy tree has no branch for history {history}")
+            node = children[labels[face]]
+        if "die" not in node:
+            raise StrategyError(f"strategy tree has no die at history {history}")
+        die = node["die"]
+    except (AttributeError, TypeError):
+        raise StrategyError(
+            f"strategy tree walk to history {history} meets a node that is not an object"
+        ) from None
+    if type(die) is not int:
+        raise StrategyError(f"strategy tree die {die!r} at history {history} is not an integer")
+    return die
 
 
 def test_coprime_denominators_match_history_walk():
@@ -295,7 +331,7 @@ def test_coprime_denominators_match_history_walk():
             for strategy in strategies:
                 got = output_distribution(spec, strategy, table)
                 assert list(got.items()) == list(
-                    _distribution_by_history(spec, strategy, table).items()
+                    _distribution_by_history(spec, strategy.choose, table).items()
                 )
     assert outcomes == {"built", "refused"}
 
@@ -497,6 +533,15 @@ def test_bias_sweep_steps_each_state_once_per_face():
     # 2z runs over -5..5: a walk freezes once |2z| >= 4
     assert len(steps) == len(set(steps)) == 4 * 11
     assert biases[5] == exact_extremes(e2(), dataclasses.replace(table, n=5)).bias
+    # the forward pass stops at the first depth that adds no state, and the
+    # guard counts the (state, steps left) pairs of the whole sweep before
+    # anything loops once per step: 11 states at each of the 10^30 + 1 steps
+    # left but the first few, which sweep 18 fewer
+    steps.clear()
+    top = 10**30
+    with pytest.raises(TreeLimitError, match=f"^{11 * (top + 1) - 18} "):
+        exact_biases(e2(), dataclasses.replace(table, step=counted), range(top, top + 2))
+    assert len(steps) == 4 * 11
 
 
 def test_bias_report_json_matches_json_dumps():
@@ -580,6 +625,195 @@ def test_sv_constant_die_distribution():
     dist = output_distribution(SV, Strategy.constant(0), FIRST_BIT)
     assert dist == {1: F(3, 4), -1: F(1, 4)}
     assert sum(dist.values()) == 1
+
+
+def _distribution_cases():
+    """(spec, table, pm1): seeded threshold, bit-exp, explicit, constant
+    and multi-bit tables, each with a +/-1 table at the same n on the
+    same source, from which the oracle's strategies are built."""
+    for spec, table in _seeded_oracle_cases():
+        yield spec, table, table
+    rng = Random(83)
+    for k in range(9):
+        if k % 3:
+            spec = random_spec(rng, rng.randint(2, 3), rng.randint(1, 3))
+            psi = [rng.choice((1, -1, F(1, 2), F(-1, 3), 0)) for _ in range(spec.num_faces)]
+        else:
+            spec, psi = random_zero_mean_spec(rng, rng.randint(2, 4), rng.randint(1, 3))
+        wit = Witness(psi, "NK")
+        n = rng.randint(0, 4 if spec.num_faces < 4 else 3)
+        pm1 = ExtractorTable.for_bit_exp(wit, n)
+        outputs = [rng.choice((1, -1)) for _ in range(spec.num_faces**n)]
+        yield spec, ExtractorTable.from_outputs(n, spec.num_faces, outputs), pm1
+        yield spec, ExtractorTable.constant(n, rng.choice((1, -1))), pm1
+        yield spec, ExtractorTable.for_multibit(wit, n, rng.randint(1, 2)), pm1
+
+
+def test_distribution_matches_the_history_walk():
+    # every kind of strategy against the walk over every history, items
+    # in order: constant, callback, a tree read from JSON (no shared
+    # nodes), exact_extremes' DAGs and the greedy DAG, each against a
+    # reference that walks its tree (or the greedy reference's tree) from
+    # the root at every history
+    seen = set()
+    for spec, table, pm1 in _distribution_cases():
+        labels = spec.face_labels
+
+        def callback(h, d=spec.num_dice):
+            return (len(h) + sum(h)) % d
+
+        file_tree = json.loads(json.dumps(Strategy(callback).to_tree(spec, table.n)))
+        report = exact_extremes(spec, pm1)
+        cases = [(Strategy.constant(d), lambda _h, d=d: d) for d in range(spec.num_dice)]
+        cases += [
+            (Strategy(callback), callback),
+            (Strategy.from_tree(file_tree, labels), partial(_tree_choice, file_tree, labels)),
+            (report.max_strategy, partial(_tree_choice, report.max_tree, labels)),
+            (report.min_strategy, partial(_tree_choice, report.min_tree, labels)),
+        ]
+        try:
+            greedy_tree = _greedy_tree_by_history(spec, pm1, F(1, 8))
+        except NoQualifyingDieError:
+            seen.add("refused")
+        else:
+            greedy = greedy_plus_strategy(spec, pm1, F(1, 8))
+            cases.append((greedy, partial(_tree_choice, greedy_tree, labels)))
+            seen.add("greedy")
+        for strategy, choose in cases:
+            got = output_distribution(spec, strategy, table)
+            assert list(got.items()) == list(_distribution_by_history(spec, choose, table).items())
+        seen.add(table.output_kind)
+        seen.add(len(got) > 1)
+    assert seen == {"greedy", "refused", "pm1", "index", True, False}
+
+
+def _node(tree, labels, history):
+    for face in history:
+        tree = tree["children"][labels[face]]
+    return tree
+
+
+@pytest.mark.parametrize("edits, message", [
+    # each tree fails at history (1,) or (1, 0) too, which the forward pass
+    # meets first; the error names the one a depth-first walk meets first
+    ([("drop-child", (0, 0), "T"), ("drop-die", (1,))],
+     "strategy tree has no branch for history (0, 0, 1)"),
+    ([("drop-die", (0, 0, 1)), ("drop-die", (1,))],
+     "strategy tree has no die at history (0, 0, 1)"),
+    ([("die", (0, 1, 1), True), ("die", (1,), 7)],
+     "strategy tree die True at history (0, 1, 1) is not an integer"),
+    ([("die", (0, 0, 0), 7), ("die", (1,), True)],
+     "strategy chose die 7, have 2 dice"),
+    ([("child", (0, 1), "H", 5), ("drop-child", (1,), "H")],
+     "strategy tree walk to history (0, 1, 0) meets a node that is not an object"),
+], ids=["branch", "die", "boolean-die", "die-range", "not-an-object"])
+def test_strategy_errors_name_the_first_failing_history_depth_first(edits, message):
+    labels = SV.face_labels
+    table = ExtractorTable.for_bit_exp(PM, 4)
+    tree = Strategy(lambda h: len(h) % 2).to_tree(SV, 4)
+    for kind, history, *value in edits:
+        node = _node(tree, labels, history)
+        if kind == "drop-child":
+            del node["children"][value[0]]
+        elif kind == "drop-die":
+            del node["die"]
+        elif kind == "die":
+            node["die"] = value[0]
+        else:
+            node["children"][value[0]] = value[1]
+    with pytest.raises(StrategyError) as want:
+        _distribution_by_history(SV, partial(_tree_choice, tree, labels), table)
+    with pytest.raises(StrategyError) as got:
+        output_distribution(SV, Strategy.from_tree(tree, labels), table)
+    assert str(got.value) == str(want.value) == message
+
+
+def test_strategy_errors_in_a_dag_name_the_least_history_reaching_them():
+    # exact_extremes' trees share nodes: a die dropped from a shared node
+    # fails at every history reaching it, and the first of them depth-first
+    # is named; a die out of range at a shared node likewise
+    psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
+    table = ExtractorTable.for_threshold(psi, F(1, 2), 5)
+    labels = e2().face_labels
+    cases = [
+        ((2, 3), None, "strategy tree has no die at history (0, 1)"),
+        ((3, 3, 0, 1), None, "strategy tree has no die at history (0, 1, 3, 3)"),
+        ((3, 0, 1), 3, "strategy chose die 3, have 3 dice"),
+    ]
+    for history, die, message in cases:
+        report = exact_extremes(e2(), table)
+        node = _node(report.max_tree, labels, history)
+        if die is None:
+            del node["die"]
+        else:
+            node["die"] = die
+        with pytest.raises(StrategyError) as want:
+            _distribution_by_history(e2(), partial(_tree_choice, report.max_tree, labels), table)
+        with pytest.raises(StrategyError) as got:
+            output_distribution(e2(), report.max_strategy, table)
+        assert str(got.value) == str(want.value) == message
+
+
+def test_a_tree_needs_no_children_below_its_last_die():
+    # no die is read at depth n, so a tree whose depth-(n - 1) nodes have no
+    # "children" still samples and distributes at n
+    spec, n = e2(), 3
+    labels = spec.face_labels
+
+    def callback(h):
+        return (len(h) + sum(h)) % 3
+
+    tree = Strategy(callback).to_tree(spec, n)
+    for history in product(range(spec.num_faces), repeat=n - 1):
+        del _node(tree, labels, history)["children"]
+    bare = Strategy.from_tree(tree, labels)
+    table = ExtractorTable.for_bit_exp(Witness([1, -1, F(1, 2), F(-1, 2)], "NK"), n)
+    assert output_distribution(spec, bare, table) == output_distribution(
+        spec, Strategy(callback), table)
+    for seed in range(20):
+        assert sample_sequence(spec, bare, n, seed) == sample_sequence(
+            spec, Strategy(callback), n, seed)
+    with pytest.raises(StrategyError, match=r"^strategy tree has no branch for history \(0, 0, 0\)$"):
+        output_distribution(spec, bare, dataclasses.replace(table, n=n + 1))
+
+
+def _counted(strategy):
+    """The strategy with its step and die counting their calls."""
+    calls = {"step": 0, "die": 0}
+    step, die = strategy.step, strategy.die
+
+    def counted_step(state, face):
+        calls["step"] += 1
+        return step(state, face)
+
+    def counted_die(state):
+        calls["die"] += 1
+        return die(state)
+
+    strategy.step, strategy.die = counted_step, counted_die
+    return strategy, calls
+
+
+def test_tree_strategies_cost_one_step_per_face():
+    # sampling n faces under exact_extremes' tree reads n dice and steps
+    # between draws only, n - 1 times; the greedy DAG's distribution reads
+    # one die per distinct (depth, node, table state) pair, which are the
+    # distinct (depth, table state) pairs since its nodes are interned
+    # states, not one per history
+    psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
+    for n in (1, 10, 300):
+        table = ExtractorTable.for_threshold(psi, F(1, 2), n)
+        strategy, calls = _counted(exact_extremes(e2(), table).max_strategy)
+        sample_sequence(e2(), strategy, n, 7)
+        assert calls == {"die": n, "step": n - 1}
+    n = 8
+    table = ExtractorTable.for_bit_exp(PM, n)
+    greedy, calls = _counted(greedy_plus_strategy(SV, table, F(1, 8)))
+    output_distribution(SV, greedy, table)
+    layers = [{reduce(table.step, h, table.init) for h in product(range(2), repeat=t)}
+              for t in range(n)]
+    assert calls == {"die": sum(map(len, layers)), "step": 2 * sum(map(len, layers[:-1]))}
+    assert calls["die"] < 2**n - 1  # the histories a history walk asks
 
 
 # -- multi-bit worst-case error ----------------------------------------------
