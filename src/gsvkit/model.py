@@ -366,7 +366,8 @@ class Strategy:
 
     * ``Strategy.constant(k)`` has one state;
     * ``Strategy.from_tree`` steps a node pointer in O(1), so nodes that
-      parents share (the oracle's DAGs) are one state;
+      parents share are one state;
+    * the oracle's policies step (depth, extractor state index) in O(1);
     * ``Strategy(callback)`` keeps the history as its state and plays
       ``callback(history)``.  Each step copies the history, so n steps
       cost O(n^2).  Determinism (same history, same die) is part of the

@@ -20,27 +20,23 @@ strategies, how biased can a given extractor's output get?
   each node it picks a die whose mean gain on the conditional advantage
   beats epsilon times its variance.
 
-All worst-case questions share one engine.  A node's value depends only
-on its depth and the extractor state there, so a forward pass interns the
-distinct states of each depth, a backward induction over those layers
-takes the max or min die expectation at every state, and one bottom-up
-builder makes the strategy trees.  Nodes with equal states share
-subtrees: the trees are read-only DAGs that expand to the full |F|^n
-trees only when walked or serialised, which gives the same bytes.
-Nothing here recurses, tree serialisation included.  The cost guard
-counts the game-tree nodes a call visits, equal states once, as it goes.
-
-A bias sweep needs no tree, and a state's value with r steps left does
-not depend on n.  So :func:`exact_biases` interns states across depths
-instead, in breadth-first order, and one max and one min sweep over
-r = 1..N give the value at the initial state for every n <= N.  Both the
-layers and the sweep take one die-expectation step, ``_expect``, over a
-whole list of states at a time.
+All worst-case questions share one engine.  A state's value with r steps
+left, W_r, does not depend on the depth: W_0 is the output and W_r the
+max (or min) die expectation of W_(r-1).  One forward pass, ``_reach``,
+interns the distinct states across depths, and a sweep over r takes one
+die-expectation step, ``_expect``, over a list of states at a time: the
+states reachable in exactly n - r steps for a game of n steps, or those
+first reached within N - r steps for a bias sweep to N, which reads
+W_r(init) for every n <= N.  Worst-case and greedy strategies are
+policies: a die table per depth over the same states, expanded to the
+|F|^n tree only when walked or serialised, with the same bytes.  Nothing
+here recurses, tree serialisation included.  The cost guard counts the
+game-tree nodes a call visits, equal states once, as it goes.
 
 The engine computes in integers.  With Q the lcm of the dice
-denominators, a die is the integer row P_f = p_f * Q, a value at depth t
-is a numerator over Q^(n-t) and a probability at depth t one over Q^t;
-the extractor tables step the integer state machines of
+denominators, a die is the integer row P_f = p_f * Q, a value with r
+steps left is a numerator over Q^r and a probability at depth t one over
+Q^t; the extractor tables step the integer state machines of
 :mod:`gsvkit.extractors`.  Each answer becomes one ``Fraction`` at the
 root.
 
@@ -53,7 +49,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -104,10 +100,9 @@ class ExtractorTable:
 
     Every table is a state machine (init, step, finish): the output of a
     sequence is ``finish`` of the state its faces step ``init`` to.  The
-    oracle walks these states and interns them per depth (across depths
-    in a bias sweep), so they must be hashable, and leaves are never
-    folded one by one: streaming extractors never materialize their
-    |F|^n output table.
+    oracle walks these states and interns them across depths, so they
+    must be hashable, and leaves are never folded one by one: streaming
+    extractors never materialize their |F|^n output table.
 
     The threshold, damped-walk and multi-bit tables step the integer
     state machines of :mod:`gsvkit.extractors`, an explicit table steps
@@ -173,75 +168,47 @@ class ExtractorTable:
 
 @dataclass(frozen=True)
 class BiasReport:
-    """Exact extremes of E[Ext] over all strategies, with the achievers."""
+    """Exact extremes of E[Ext] over all strategies, with the achievers,
+    which play n faces labelled ``face_labels``."""
 
     max_expectation: Fraction
     min_expectation: Fraction
     bias: Fraction
     max_strategy: Strategy
     min_strategy: Strategy
-    max_tree: dict
-    min_tree: dict
-
-    def to_jsonable(self) -> dict:
-        return {
-            "max_expectation": rat_str(self.max_expectation),
-            "min_expectation": rat_str(self.min_expectation),
-            "bias": rat_str(self.bias),
-            "max_strategy": self.max_tree,
-            "min_strategy": self.min_tree,
-        }
+    face_labels: tuple[str, ...]
+    n: int
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_jsonable(), indent=2) + "\\n"``, written with
-        an explicit stack so that trees of any depth serialise."""
-        out: list[str] = []
-        todo: list = [(self.to_jsonable(), 0)]  # (value, depth) or literal text
+        """The report as ``json.dumps(..., indent=2) + "\\n"`` writes it, each
+        strategy as its depth-n tree (:meth:`Strategy.to_tree`), expanded
+        as it is written with an explicit stack: no tree is held."""
+        keys = [json.dumps(label) for label in self.face_labels]
+        out = [f'{{\n  "max_expectation": "{rat_str(self.max_expectation)}",\n'
+               f'  "min_expectation": "{rat_str(self.min_expectation)}",\n'
+               f'  "bias": "{rat_str(self.bias)}"']
         nodes = 0
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            value, depth = item
-            if isinstance(value, dict) and depth & 1:  # tree nodes: roots at depth 1, kids 2 below
+        for key, strategy in (("max_strategy", self.max_strategy),
+                              ("min_strategy", self.min_strategy)):
+            todo: list = [(0, strategy.init), f',\n  "{key}": ']  # (depth, state) or text
+            while todo:
+                item = todo.pop()
+                if isinstance(item, str):
+                    out.append(item)
+                    continue
+                t, state = item
                 nodes += 1
                 _visit(nodes, "strategy-tree nodes written")
-            if not isinstance(value, dict) or not value:
-                out.append(json.dumps(value))
-                continue
-            pad = "\n" + "  " * (depth + 1)
-            todo.append("\n" + "  " * depth + "}")
-            items = list(value.items())
-            for i in reversed(range(len(items))):
-                key, child = items[i]
-                todo.append((child, depth + 1))
-                todo.append(("," if i else "{") + pad + json.dumps(key) + ": ")
-        out.append("\n")
-        return "".join(out)
-
-
-def _layers(ext: ExtractorTable, nfaces: int) -> tuple[list[list[list[int]]], list[int]]:
-    """Forward pass over the distinct extractor states of each depth.
-
-    Returns (kids, leaves): ``kids[t][i][f]`` is the index at depth t + 1
-    of the state that face f leads to from the i-th state at depth t (the
-    initial state is index 0 at depth 0), and ``leaves[i]`` is the output
-    at the i-th state at depth n.  Each distinct state steps each face
-    once.
-    """
-    step, finish = ext.step, ext.finish
-    faces = range(nfaces)
-    layer = [ext.init]
-    kids = []
-    seen = 1
-    for _ in range(ext.n):
-        index: dict = {}
-        kids.append([[index.setdefault(step(s, f), len(index)) for f in faces] for s in layer])
-        layer = list(index)
-        seen += len(layer)
-        _visit(seen, "game-tree states interned")
-    return kids, [finish(s) for s in layer]
+                if t == self.n:
+                    out.append("{}")
+                    continue
+                pad = "\n" + "  " * (2 * t + 2)
+                out.append(f'{{{pad}"die": {json.dumps(strategy.die(state))},{pad}"children": {{')
+                todo.append(f"{pad}}}\n{'  ' * (2 * t + 1)}}}")
+                for f in reversed(range(len(keys))):
+                    todo.append((t + 1, strategy.step(state, f) if t + 1 < self.n else None))
+                    todo.append(("," if f else "") + pad + "  " + keys[f] + ": ")
+        return "".join(out) + "\n}\n"
 
 
 def _die_rows(spec: SourceSpec) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -252,7 +219,7 @@ def _die_rows(spec: SourceSpec) -> tuple[int, list[list[tuple[int, int]]]]:
 
 
 def _expect(rows, kids, below: list[int], pick) -> tuple[list[int], list[list[int]]]:
-    """One induction step over a list of states, a whole layer at a time.
+    """One induction step over a list of states.
 
     ``kids[i][f]`` indexes ``below``, the values one step further on, and
     ``rows`` are the dice of :func:`_die_rows`.  Returns (values, sums):
@@ -271,100 +238,23 @@ def _expect(rows, kids, below: list[int], pick) -> tuple[list[int], list[list[in
     return (sums[0] if len(sums) == 1 else list(map(pick, *sums))), sums
 
 
-def _induct(rows, kids, leaf_values: list[int], pick) -> tuple[list[list[int]], list[list[int]]]:
-    """Backward induction over the layers of :func:`_layers`.
-
-    ``rows`` are the dice of :func:`_die_rows` and ``leaf_values`` integers,
-    so a value at depth t is a numerator over Q^(n-t), one denominator per
-    depth; each layer is one :func:`_expect` step.  Returns (values, dies):
-    ``values[t][i]`` for every depth t <= n and ``dies[t][i]``, the first
-    die reaching the extreme (ties go to the smallest die), for t < n.
-    """
-    values = [leaf_values]
-    dies = []
-    for layer in reversed(kids):
-        best, sums = _expect(rows, layer, values[-1], pick)
-        values.append(best)
-        dies.append([col.index(v) for col, v in zip(zip(*sums), best)])
-    values.reverse()
-    dies.reverse()
-    return values, dies
-
-
-def _first_history(kids, t: int, i: int) -> tuple[int, ...]:
-    """The smallest history reaching the i-th state at depth t of
-    :func:`_layers`, read back through the first (parent, face) pointing
-    to each state on the way: that pair interned the state."""
-    history: tuple[int, ...] = ()
-    for layer in reversed(kids[:t]):
-        i, f = next((p, f) for p, row in enumerate(layer) for f, k in enumerate(row) if k == i)
-        history = (f, *history)
-    return history
-
-
-def _tree(labels: Sequence[str], kids, dies: list[list[int]], nleaves: int) -> dict:
-    """The strategy tree playing ``dies[t][i]`` at the i-th state of depth
-    t, built bottom-up from the ``nleaves`` leaves.  Nodes with equal
-    states share one subtree object, so the tree is a read-only DAG."""
-    below: list[dict] = [{}] * nleaves
-    for layer, layer_dies in zip(reversed(kids), reversed(dies)):
-        below = [
-            {"die": die, "children": {labels[f]: below[k] for f, k in enumerate(row)}}
-            for row, die in zip(layer, layer_dies)
-        ]
-    return below[0]
-
-
-def exact_extremes(spec: SourceSpec, ext: ExtractorTable) -> BiasReport:
-    """Exact max/min of E[Ext] over every adaptive strategy.
-
-    Backward induction: a leaf is worth the extractor output; an internal
-    node is worth the best (resp. worst) die expectation over its
-    children.  Ties pick the smallest die index, so the recorded strategy
-    trees are canonical.
-
-    The induction runs once per distinct (depth, state) pair, and nodes
-    with equal pairs share subtree objects: the strategy trees are DAGs
-    that expand to the full |F|^n trees only when they are walked or
-    serialised.  Treat them as read-only.
-    """
-    if ext.output_kind != PM_ONE:
-        raise ValueError("exact_extremes needs a +/-1 extractor")
-    labels = spec.face_labels
-    q, rows = _die_rows(spec)
-    kids, leaves = _layers(ext, spec.num_faces)
-    his, hi_dies = _induct(rows, kids, leaves, max)
-    los, lo_dies = _induct(rows, kids, leaves, min)
-    hi, lo = Fraction(his[0][0], q**ext.n), Fraction(los[0][0], q**ext.n)
-    hi_tree = _tree(labels, kids, hi_dies, len(leaves))
-    lo_tree = _tree(labels, kids, lo_dies, len(leaves))
-    return BiasReport(
-        max_expectation=hi,
-        min_expectation=lo,
-        bias=max(abs(hi), abs(lo)),
-        max_strategy=Strategy.from_tree(hi_tree, labels),
-        min_strategy=Strategy.from_tree(lo_tree, labels),
-        max_tree=hi_tree,
-        min_tree=lo_tree,
-    )
-
-
 def _reach(ext: ExtractorTable, nfaces: int, depth: int) -> tuple[list, list[list[int]], list[int]]:
     """Forward pass over the distinct states reachable within ``depth`` steps.
 
     States are interned across depths in breadth-first order, so the
-    states first reached within d steps are ``states[:within[d]]``, a
-    prefix.  Returns (states, kids, within): ``kids[i][f]`` is the index
-    of the state that face f leads to from ``states[i]``, for the states
-    first reached within depth - 1 steps.  Each distinct state steps each
-    face at most once.  The pass stops at the first depth that adds no
-    state, so ``within`` may end before ``depth``: every later depth
-    reaches the same states.
+    states first reached within d steps are the first within[d], a
+    prefix.  Returns (outs, kids, within): ``outs[i]`` is ``finish`` of the
+    i-th state and ``kids[i][f]`` the index of the state face f leads to
+    from it, for the states first reached within depth - 1 steps.  Each
+    distinct state steps each face at most once.  The pass stops at the
+    first depth that adds no state, so ``within`` may end before
+    ``depth``: every later depth reaches the same states.
 
     The guard counts the states interned and, as they grow, the (state,
-    steps left) pairs a sweep to ``depth`` takes: the sum over d < depth
-    of within[min(d, D)], with D the last depth listed.  So a sweep too
-    long for the guard is refused before anything loops once per step.
+    steps left) pairs a bias sweep to ``depth`` takes: the sum over
+    d < depth of within[min(d, D)], with D the last depth listed.  A game
+    of ``depth`` steps sweeps at most as many.  So a sweep too long for
+    the guard is refused before anything loops once per step.
     """
     step = ext.step
     faces = range(nfaces)
@@ -383,7 +273,91 @@ def _reach(ext: ExtractorTable, nfaces: int, depth: int) -> tuple[list, list[lis
             states = list(index)
         within.append(len(states))
     _visit(swept + (depth + 1 - len(within)) * len(states), "(state, steps left) pairs to sweep")
-    return states, kids, within
+    return list(map(ext.finish, states)), kids, within
+
+
+def _sweep(rows, kids, values: list[int], swept, pick):
+    """Backward induction over the states of :func:`_reach`, in place:
+    ``values`` holds W_0 and ``swept`` lists, for r = 1, 2, ..., the state
+    indices ``here`` whose W_r is needed.  Each step yields (here, W_r
+    there, the die sums) of one :func:`_expect` while ``values`` still
+    holds W_(r-1), then writes W_r into it.  W_r is a numerator over Q^r."""
+    for here in swept:
+        new, sums = _expect(rows, list(map(kids.__getitem__, here)), values, pick)
+        yield here, new, sums
+        for i, value in zip(here, new):
+            values[i] = value
+
+
+def _depths(kids, n: int) -> list[list[int]]:
+    """``depths[t]`` lists the indices of the states reachable in exactly
+    t steps, for t < n, read from the kids of :func:`_reach` with no step."""
+    depths = [[0]]
+    while len(depths) < n:
+        depths.append(list(set(chain.from_iterable(map(kids.__getitem__, depths[-1])))))
+    return depths[:n]
+
+
+def _die_table(here: list[int], picked) -> list[int | None]:
+    """The die table of one depth: ``picked`` lists the dies of the state
+    indices ``here``; the other entries are never read."""
+    table = [None] * (max(here) + 1)
+    for i, die in zip(here, picked):
+        table[i] = die
+    return table
+
+
+def _policy(kids, dies: list[list[int | None]], description: str) -> Strategy:
+    """A policy: the strategy playing ``dies[t][i]`` at the i-th state of
+    :func:`_reach` at depth t < len(dies).  Its state is (t, i), a step
+    looks the next index up in ``kids``, and past the last die it fails
+    as a depth-n tree would.  It expands to that tree only when walked."""
+    n = len(dies)
+
+    def die(state: tuple[int, int]) -> int:
+        t, i = state
+        if t < n:
+            return dies[t][i]
+        raise _TreeFault("strategy tree has no die at history ")
+
+    def step(state: tuple[int, int], face: int) -> tuple[int, int]:
+        t, i = state
+        if t < n:
+            return t + 1, kids[i][face]
+        raise _TreeFault("strategy tree has no branch for history ")
+
+    return Strategy(die, description, (0, 0), step)
+
+
+def exact_extremes(spec: SourceSpec, ext: ExtractorTable) -> BiasReport:
+    """Exact max/min of E[Ext] over every adaptive strategy.
+
+    Backward induction: a leaf is worth the extractor output; an internal
+    node is worth the best (resp. worst) die expectation over its
+    children.  Ties pick the smallest die index, so the recorded strategy
+    trees are canonical.
+
+    One max and one min sweep over the distinct states give the values,
+    and the strategies are policies (:func:`_policy`).
+    """
+    if ext.output_kind != PM_ONE:
+        raise ValueError("exact_extremes needs a +/-1 extractor")
+    n = ext.n
+    q, rows = _die_rows(spec)
+    leaves, kids, _within = _reach(ext, spec.num_faces, n)
+    depths = _depths(kids, n)
+
+    def extreme(pick) -> tuple[Fraction, Strategy]:
+        values, dies = leaves[:], []
+        for here, new, sums in _sweep(rows, kids, values, reversed(depths), pick):
+            # the first die whose expectation is the value, at each state here
+            dies.append(_die_table(here, map(tuple.index, zip(*sums), new)))
+        dies.reverse()
+        return Fraction(values[0], q**n), _policy(kids, dies, "worst-case")
+
+    (hi, hi_strategy), (lo, lo_strategy) = extreme(max), extreme(min)
+    return BiasReport(hi, lo, max(abs(hi), abs(lo)), hi_strategy, lo_strategy,
+                      spec.face_labels, n)
 
 
 def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> list[Fraction]:
@@ -397,11 +371,8 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
     then counts the distinct states the sweep interns and the (state,
     steps left) pairs it would take, before any loop over n.
 
-    A state's value with r steps left, W_r(s), does not depend on n: W_0
-    is ``finish`` and W_r the max (or min) die expectation of W_(r-1).  So
-    one forward pass to N = max(ns) and one max and one min sweep, W_r
-    over the states first reached within N - r steps, give W_n(init) / Q^n
-    for every n <= N, and no strategy tree is built.
+    One forward pass to N = max(ns) and one max and one min sweep give
+    W_n(init) / Q^n for every n <= N, and no strategy is built.
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("exact_biases needs a +/-1 extractor")
@@ -410,17 +381,14 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
         raise ValueError("n must be nonnegative")
     top = max(ends, default=0)
     q, rows = _die_rows(spec)
-    states, kids, within = _reach(ext, spec.num_faces, top)
-    leaves = [ext.finish(s) for s in states]
+    leaves, kids, within = _reach(ext, spec.num_faces, top)
     last = len(within) - 1
 
     def roots(pick) -> list[int]:
-        # roots(pick)[r] = W_r(init), a numerator over Q^r
-        values, out = leaves, [leaves[0]]
-        for r in range(1, top + 1):
-            values, _sums = _expect(rows, kids[: within[min(top - r, last)]], values, pick)
-            out.append(values[0])
-        return out
+        # roots(pick)[r] = W_r(init), a numerator over Q^r, from W_r over
+        # the states first reached within top - r steps, a prefix
+        swept = (range(within[min(top - r, last)]) for r in range(1, top + 1))
+        return [leaves[0], *(new[0] for _h, new, _s in _sweep(rows, kids, leaves[:], swept, pick))]
 
     his, los = roots(max), roots(min)
     return [Fraction(max(abs(his[n]), abs(los[n])), q**n) for n in ns]
@@ -439,9 +407,9 @@ def output_distribution(
     One forward pass keeps one probability per distinct (strategy state,
     table state) pair of each depth, and reads the strategy's die once
     per pair.  So histories that reach equal pairs merge: a constant
-    strategy costs one pair per table state, and a tree strategy's shared
-    subtrees (the oracle's DAGs) stay shared.  Zero-probability faces are
-    pruned, and the strategy is not stepped past the last face.  A
+    strategy costs one pair per table state, and a policy's (depth, state)
+    pairs and a tree's shared subtrees stay shared.  Zero-probability faces
+    are pruned, and the strategy is not stepped past the last face.  A
     probability at depth t is an integer numerator over Q^t (Q as in
     :func:`_die_rows`).  Pairs, and so the outputs, come in the order of
     their first sequence, as a depth-first walk over the histories gives
@@ -546,13 +514,17 @@ def exact_multibit_error(
             f"2^{ext.out_size} - 2 output sets exceed the guard {DEFAULT_ENUM_GUARD}"
         )
     q, rows = _die_rows(spec)
-    kids, leaves = _layers(ext, spec.num_faces)
-    scale = q**ext.n
+    n = ext.n
+    outs, kids, _within = _reach(ext, spec.num_faces, n)
+    depths = _depths(kids, n)
+    scale = q**n
     # Pr[out in S] - |S|/2^m as a numerator over 2^m * Q^n
     worst = 0
     for s in range(1, (1 << ext.out_size) - 1):
-        values, _dies = _induct(rows, kids, [s >> out & 1 for out in leaves], max)
-        worst = max(worst, values[0][0] * ext.out_size - s.bit_count() * scale)
+        values = [s >> out & 1 for out in outs]
+        for _step in _sweep(rows, kids, values, reversed(depths), max):
+            pass
+        worst = max(worst, values[0] * ext.out_size - s.bit_count() * scale)
     return Fraction(worst, ext.out_size * scale)
 
 
@@ -572,43 +544,64 @@ def greedy_plus_strategy(spec: SourceSpec, ext: ExtractorTable, epsilon) -> Stra
     strategy's exact advantage then exceeds the guaranteed value by at
     least (eps/(1+eps)) * alpha * (1 - alpha).
 
-    The guaranteed values come from one min induction on 0/1 leaves and
-    the die is picked once per distinct (depth, state) pair; the returned
-    strategy's tree shares the subtrees of equal pairs and is read-only.
-    An error names the first failing history in depth-first order, as a
-    walk over every history would.
+    The guaranteed values come from one min sweep on 0/1 leaves, and the
+    strategy is a policy (:func:`_policy`).  An error names the first
+    failing history in depth-first order, as a walk over every one would.
     """
     if ext.output_kind != PM_ONE:
         raise ValueError("greedy_plus_strategy needs a +/-1 extractor")
     eps = rat(epsilon)
     e_num, e_den = eps.numerator, eps.denominator
-    labels = spec.face_labels
+    n = ext.n
     q, rows = _die_rows(spec)
     masses = [sum(p for _f, p in row) for row in rows]
-    kids, leaves = _layers(ext, spec.num_faces)
-    adv, _dies = _induct(rows, kids, [1 if out == 1 else 0 for out in leaves], min)
+    outs, kids, _within = _reach(ext, spec.num_faces, n)
+    values = [1 if out == 1 else 0 for out in outs]
 
-    def gain_die(a: int, kid_adv: list[int], r: int) -> int | None:
-        # The gain inequality with alpha = a / (Q*r) and alpha(f) = A_f / r,
-        # multiplied through by e_den * Q^2 * r^2 > 0.
-        for i, row in enumerate(rows):
-            m1 = sum([p * kid_adv[f] for f, p in row])
+    def gain_die(a: int, kid_adv: list[int], m1s: tuple[int, ...], scale: int) -> int | None:
+        # The gain inequality with alpha = a / (Q*scale) and alpha(f) =
+        # A_f / scale, multiplied through by e_den * Q^2 * scale^2 > 0;
+        # m1 = sum_f P_f * A_f is the die's expectation from the sweep.
+        for i, (row, m1) in enumerate(zip(rows, m1s)):
             m2 = sum([p * kid_adv[f] ** 2 for f, p in row])
-            if e_den * r * (q * m1 - a * masses[i]) >= e_num * (q * m2 - m1 * m1):
+            if e_den * scale * (q * m1 - a * masses[i]) >= e_num * (q * m2 - m1 * m1):
                 return i
         return None
 
     dies = []
-    for t, layer in enumerate(kids):
-        here, below, r = adv[t], adv[t + 1], q ** (ext.n - t - 1)
-        dies.append([gain_die(here[i], [below[k] for k in kid], r) for i, kid in enumerate(layer)])
-    # A layer numbers its states in the order of their smallest histories,
-    # so the least failing history in tuple order (depth-first order) is
-    # the least of each failing layer's first failing state's smallest one.
-    failing = [(t, layer.index(None)) for t, layer in enumerate(dies) if None in layer]
+    failing = False
+    scale = 1  # Q^(r-1) at r steps left
+    for here, adv, sums in _sweep(rows, kids, values, reversed(_depths(kids, n)), min):
+        picked = [gain_die(a, list(map(values.__getitem__, kids[i])), m1s, scale)
+                  for i, a, m1s in zip(here, adv, zip(*sums))]
+        failing = failing or None in picked
+        dies.append(_die_table(here, picked))
+        scale *= q
+    dies.reverse()
     if failing:
-        history = min(_first_history(kids, t, i) for t, i in failing)
+        history = _least_failing(kids, dies)
         raise NoQualifyingDieError(f"no die satisfies the gain inequality at history {history}")
-    strategy = Strategy.from_tree(_tree(labels, kids, dies, len(leaves)), labels)
-    strategy.description = "greedy-plus"
-    return strategy
+    return _policy(kids, dies, "greedy-plus")
+
+
+def _least_failing(kids, dies: list[list[int | None]]) -> tuple[int, ...] | None:
+    """The least history in tuple order whose node has no die in ``dies``
+    (read as :func:`_policy` reads them): a depth-first walk that visits
+    each (depth, state index) node once, as :func:`_first_fault` does."""
+    n = len(dies)
+    faces = range(len(kids[0]))
+    walked: set = set()
+    path: list[int] = []
+    stack = [(0, 0, 0)]  # (depth, face into it, state index)
+    while stack:
+        t, face, i = stack.pop()
+        if t:
+            del path[t - 1:]
+            path.append(face)
+        if (t, i) in walked:
+            continue
+        walked.add((t, i))
+        if dies[t][i] is None:
+            return tuple(path)
+        if t + 1 < n:
+            stack.extend((t + 1, f, kids[i][f]) for f in reversed(faces))

@@ -262,11 +262,27 @@ def test_extract_rejects_malformed_strategy_files(tmp_path, capsys, source, n, t
 
 
 def test_extract_subset_guard_exits_65(tmp_path, capsys):
+    # 25 distinct two-face dice: no nonzero kernel, so not NK+, and HNK
+    # would enumerate their subsets
     source = tmp_path / "wide.json"
-    source.write_text(json.dumps({"faces": ["a", "b"], "dice": [["1/2", "1/2"]] * 25}))
+    dice = [[f"{k}/50", f"{50 - k}/50"] for k in range(1, 26)]
+    source.write_text(json.dumps({"faces": ["a", "b"], "dice": dice}))
     assert run("extract", "--source", str(source)) == 65
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "25 dice exceed the 24-die subset guard\n")
+
+
+def test_classify_an_nk_plus_source_past_the_subset_guard(tmp_path, capsys):
+    # NK+ implies HNK, so 25 fair coins classify without enumerating
+    # subsets, with the bytes the HNK walk would give
+    source = tmp_path / "coins.json"
+    source.write_text(json.dumps({"faces": ["a", "b"], "dice": [["1/2", "1/2"]] * 25}))
+    assert run("classify", "--source", str(source)) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert (doc["category"], doc["nk_plus"]["holds"], doc["hnk"]) == (
+        "EXP_ERROR", True, {"holds": True})
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [

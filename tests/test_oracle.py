@@ -41,9 +41,10 @@ from gsvkit.oracle import (
     greedy_plus_strategy,
     output_distribution,
 )
-from gsvkit.model import sample_sequence
+from gsvkit.model import rat_str, sample_sequence
 from gsvkit.presets import e1, e2, fair_coin, sv_pair
 
+import layered
 from specgen import PSI_POOL, random_hierarchical_spec, random_spec, random_zero_mean_spec
 
 SV = sv_pair("1/4")
@@ -73,9 +74,9 @@ def test_sv_pair_single_sample():
     assert report.max_expectation == F(1, 2)
     assert report.min_expectation == F(-1, 2)
     assert report.bias == F(1, 2)
-    assert report.max_tree["die"] == 0
-    assert report.min_tree["die"] == 1
-    doc = report.to_jsonable()
+    assert report.max_strategy.to_tree(SV, 1) == {"die": 0, "children": {"H": {}, "T": {}}}
+    assert report.min_strategy.to_tree(SV, 1)["die"] == 1
+    doc = json.loads(report.to_json())
     assert doc["bias"] == "1/2"
     assert doc["max_expectation"] == "1/2"
     assert doc["max_strategy"]["die"] == 0
@@ -117,16 +118,19 @@ def test_tree_guard_counts_the_nodes_each_pass_visits(monkeypatch):
     psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
     walk = ExtractorTable.for_threshold(psi, F(1, 2), 10)  # freezes once |2z| >= 4
     bits = ExtractorTable.for_bit_exp(PM, 6)
-    states, pairs = "game-tree states interned", "game-tree states reached"
+    swept, pairs = "(state, steps left) pairs to sweep", "game-tree states reached"
     greedy = greedy_plus_strategy(SV, bits, "1/8")
     cases = [
-        (lambda: exact_extremes(e2(), walk), 102, states),  # per-depth layers
-        (lambda: greedy_plus_strategy(SV, bits, "1/8"), 63, states),
-        (lambda: exact_multibit_error(SV, ExtractorTable.for_multibit(PM, 4, 1)), 23, states),
-        # one sweep across depths: 11 states, 92 (state, steps left) pairs
-        (lambda: exact_biases(e2(), walk, [10, 3]), 92, "(state, steps left) pairs to sweep"),
+        # one sweep across depths: on e2, 11 states and 92 (state, steps
+        # left) pairs; the damped walk's and the multi-bit table's states
+        # never recur, so a sweep takes each of them once per r it is
+        # within reach of
+        (lambda: exact_extremes(e2(), walk), 92, swept),
+        (lambda: exact_biases(e2(), walk, [10, 3]), 92, swept),
+        (lambda: greedy_plus_strategy(SV, bits, "1/8"), 86, swept),
+        (lambda: exact_multibit_error(SV, ExtractorTable.for_multibit(PM, 4, 1)), 24, swept),
         # (strategy state, table state) pairs: one strategy state, the
-        # greedy DAG's nodes (its 63 interned states), and a callback's
+        # greedy policy's 63 distinct (depth, state) pairs, and a callback's
         # histories, 2^t at depth t < 6 and 24 table states at depth 6
         (lambda: output_distribution(e2(), Strategy.constant(1), walk), 102, pairs),
         (lambda: output_distribution(SV, greedy, bits), 63, pairs),
@@ -139,8 +143,8 @@ def test_tree_guard_counts_the_nodes_each_pass_visits(monkeypatch):
             call()
         monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", count)
         call()
-    # a one-state table: the oracle visits 61 states, but the trees it
-    # writes out are the full 4^60 ones
+    # a one-state table: the oracle sweeps 60 (state, steps left) pairs,
+    # but the trees it writes out are the full 4^60 ones
     monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", 61)
     report = exact_extremes(e2(), ExtractorTable.constant(60, 1))
     assert report.bias == 1
@@ -183,7 +187,7 @@ def _extremes_by_history(spec, ext):
     return BiasReport(
         hi, lo, max(abs(hi), abs(lo)),
         Strategy.from_tree(hi_tree, labels), Strategy.from_tree(lo_tree, labels),
-        hi_tree, lo_tree,
+        labels, ext.n,
     )
 
 
@@ -246,6 +250,63 @@ def test_memoised_oracle_matches_history_walk():
             assert json.dumps(strategy.to_tree(spec, table.n)) == want
             outcomes.add("built")
     assert outcomes == {"built", "refused"}
+
+
+def _layered_cases():
+    """(spec, table): the seeded threshold and bit-exp tables, then
+    explicit, constant, multi-bit (small n) and epsilon-1/2 threshold
+    tables, whose walks freeze, so states recur across depths."""
+    yield from _seeded_oracle_cases()
+    rng = Random(97)
+    for k in range(10):
+        if k % 2:
+            spec, psi = random_zero_mean_spec(rng, rng.randint(2, 4), rng.randint(1, 3))
+        else:
+            spec = random_spec(rng, rng.randint(2, 3), rng.randint(1, 3))
+            psi = [rng.choice((1, -1, F(1, 2), F(-1, 3), 0)) for _ in range(spec.num_faces)]
+        wit = Witness(psi, "NK")
+        n = rng.randint(0, 4 if spec.num_faces < 4 else 3)
+        outputs = [rng.choice((1, -1)) for _ in range(spec.num_faces**n)]
+        yield spec, ExtractorTable.from_outputs(n, spec.num_faces, outputs)
+        yield spec, ExtractorTable.constant(n, rng.choice((1, -1)))
+        yield spec, ExtractorTable.for_multibit(wit, min(n, 3), rng.randint(1, 2))
+        yield spec, ExtractorTable.for_threshold(wit, F(1, 2), n + 1)
+
+
+def test_one_graph_oracle_matches_the_layered_engine():
+    # the oracle's one state graph and policies against the layered
+    # reference (per-depth layers, backward induction, dict-DAG trees):
+    # values, to_json bytes, greedy trees or refusal texts, and the
+    # multi-bit worst case
+    seen = set()
+    for spec, table in _layered_cases():
+        if table.output_kind == "index":
+            assert exact_multibit_error(spec, table) == layered.multibit_error(spec, table)
+            seen.add("index")
+            continue
+        hi, lo, hi_tree, lo_tree = layered.extremes(spec, table)
+        report = exact_extremes(spec, table)
+        bias = max(abs(hi), abs(lo))
+        assert (report.max_expectation, report.min_expectation, report.bias) == (hi, lo, bias)
+        doc = {"max_expectation": rat_str(hi), "min_expectation": rat_str(lo),
+               "bias": rat_str(bias), "max_strategy": hi_tree, "min_strategy": lo_tree}
+        assert report.to_json() == json.dumps(doc, indent=2) + "\n"
+        for eps in (F(1, 8), F(1, 2)):
+            try:
+                want = json.dumps(layered.greedy_tree(spec, table, eps))
+            except NoQualifyingDieError as exc:
+                with pytest.raises(NoQualifyingDieError) as got:
+                    greedy_plus_strategy(spec, table, eps)
+                assert str(got.value) == str(exc)
+                seen.add("refused")
+                continue
+            assert json.dumps(greedy_plus_strategy(spec, table, eps).to_tree(spec, table.n)) == want
+            seen.add("built")
+        kids, _leaves = layered.layers(table, spec.num_faces)
+        states = {reduce(table.step, h, table.init)
+                  for t in range(table.n + 1) for h in product(range(spec.num_faces), repeat=t)}
+        seen.add(len(states) < 1 + sum(len(layer) for layer in kids))  # states recur
+    assert seen == {"index", "refused", "built", True, False}
 
 
 def test_greedy_names_the_first_failing_history_in_depth_first_order():
@@ -412,7 +473,7 @@ def test_oracle_cost_follows_distinct_states():
     )
 
 
-def test_constant_table_interns_one_state_per_depth():
+def test_constant_table_steps_each_face_once():
     calls = 0
 
     def counted(step):
@@ -426,7 +487,7 @@ def test_constant_table_interns_one_state_per_depth():
         calls = 0
         table = ExtractorTable.constant(n, out)
         report = exact_extremes(e2(), dataclasses.replace(table, step=counted(table.step)))
-        assert report.bias == 1 and calls == n * e2().num_faces
+        assert report.bias == 1 and calls == (n > 0) * e2().num_faces
 
 
 def test_explicit_table_steps_its_prefix_index():
@@ -554,7 +615,14 @@ def test_bias_report_json_matches_json_dumps():
     cases.append((odd, ExtractorTable.constant(0, -1)))
     for spec, table in cases:
         report = exact_extremes(spec, table)
-        assert report.to_json() == json.dumps(report.to_jsonable(), indent=2) + "\n"
+        doc = {
+            "max_expectation": rat_str(report.max_expectation),
+            "min_expectation": rat_str(report.min_expectation),
+            "bias": rat_str(report.bias),
+            "max_strategy": report.max_strategy.to_tree(spec, table.n),
+            "min_strategy": report.min_strategy.to_tree(spec, table.n),
+        }
+        assert report.to_json() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_extractor_table_rejects_negative_n():
@@ -652,9 +720,10 @@ def _distribution_cases():
 def test_distribution_matches_the_history_walk():
     # every kind of strategy against the walk over every history, items
     # in order: constant, callback, a tree read from JSON (no shared
-    # nodes), exact_extremes' DAGs and the greedy DAG, each against a
-    # reference that walks its tree (or the greedy reference's tree) from
-    # the root at every history
+    # nodes), exact_extremes' policies and the greedy policy, each against
+    # a reference that walks its tree (the policy's, read through
+    # to_tree, or the greedy reference's tree) from the root at every
+    # history
     seen = set()
     for spec, table, pm1 in _distribution_cases():
         labels = spec.face_labels
@@ -668,8 +737,10 @@ def test_distribution_matches_the_history_walk():
         cases += [
             (Strategy(callback), callback),
             (Strategy.from_tree(file_tree, labels), partial(_tree_choice, file_tree, labels)),
-            (report.max_strategy, partial(_tree_choice, report.max_tree, labels)),
-            (report.min_strategy, partial(_tree_choice, report.min_tree, labels)),
+            (report.max_strategy,
+             partial(_tree_choice, report.max_strategy.to_tree(spec, table.n), labels)),
+            (report.min_strategy,
+             partial(_tree_choice, report.min_strategy.to_tree(spec, table.n), labels)),
         ]
         try:
             greedy_tree = _greedy_tree_by_history(spec, pm1, F(1, 8))
@@ -729,9 +800,11 @@ def test_strategy_errors_name_the_first_failing_history_depth_first(edits, messa
 
 
 def test_strategy_errors_in_a_dag_name_the_least_history_reaching_them():
-    # exact_extremes' trees share nodes: a die dropped from a shared node
-    # fails at every history reaching it, and the first of them depth-first
-    # is named; a die out of range at a shared node likewise
+    # a tree whose children share node objects (the layered reference's
+    # max tree, one node per distinct (depth, state)): a die dropped from a
+    # shared node fails at every history reaching it, and the first of
+    # them depth-first is named; a die out of range at a shared node
+    # likewise
     psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
     table = ExtractorTable.for_threshold(psi, F(1, 2), 5)
     labels = e2().face_labels
@@ -741,16 +814,18 @@ def test_strategy_errors_in_a_dag_name_the_least_history_reaching_them():
         ((3, 0, 1), 3, "strategy chose die 3, have 3 dice"),
     ]
     for history, die, message in cases:
-        report = exact_extremes(e2(), table)
-        node = _node(report.max_tree, labels, history)
+        _hi, _lo, dag, _min_dag = layered.extremes(e2(), table)
+        node = _node(dag, labels, history)
+        assert any(_node(dag, labels, other) is node and other != history
+                   for other in product(range(4), repeat=len(history)))
         if die is None:
             del node["die"]
         else:
             node["die"] = die
         with pytest.raises(StrategyError) as want:
-            _distribution_by_history(e2(), partial(_tree_choice, report.max_tree, labels), table)
+            _distribution_by_history(e2(), partial(_tree_choice, dag, labels), table)
         with pytest.raises(StrategyError) as got:
-            output_distribution(e2(), report.max_strategy, table)
+            output_distribution(e2(), Strategy.from_tree(dag, labels), table)
         assert str(got.value) == str(want.value) == message
 
 
@@ -795,11 +870,10 @@ def _counted(strategy):
 
 
 def test_tree_strategies_cost_one_step_per_face():
-    # sampling n faces under exact_extremes' tree reads n dice and steps
-    # between draws only, n - 1 times; the greedy DAG's distribution reads
-    # one die per distinct (depth, node, table state) pair, which are the
-    # distinct (depth, table state) pairs since its nodes are interned
-    # states, not one per history
+    # sampling n faces under exact_extremes' policy, the greedy policy or
+    # a tree reads n dice and steps between draws only, n - 1 times; the
+    # greedy policy's distribution reads one die per distinct (depth,
+    # table state) pair, not one per history
     psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
     for n in (1, 10, 300):
         table = ExtractorTable.for_threshold(psi, F(1, 2), n)
@@ -808,6 +882,11 @@ def test_tree_strategies_cost_one_step_per_face():
         assert calls == {"die": n, "step": n - 1}
     n = 8
     table = ExtractorTable.for_bit_exp(PM, n)
+    tree = Strategy.from_tree(greedy_plus_strategy(SV, table, F(1, 8)).to_tree(SV, n), "HT")
+    for strategy in (greedy_plus_strategy(SV, table, F(1, 8)), tree):
+        strategy, calls = _counted(strategy)
+        sample_sequence(SV, strategy, n, 7)
+        assert calls == {"die": n, "step": n - 1}
     greedy, calls = _counted(greedy_plus_strategy(SV, table, F(1, 8)))
     output_distribution(SV, greedy, table)
     layers = [{reduce(table.step, h, table.init) for h in product(range(2), repeat=t)}
