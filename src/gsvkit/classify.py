@@ -26,7 +26,9 @@ full column rank: enlarging a failing subset to D(U) keeps its union
 and cannot lower the rank.  So the decision costs one rank test per
 distinct union, at most min(2^|F|, 2^|D|) - 1 of them, and the die
 subsets are walked only to name the certificate once HNK is known to
-fail.
+fail.  The guard, SUBSET_GUARD, counts those unions and walked subsets.
+An NK+ source holds HNK outright, so neither :func:`classify` nor
+:func:`mvr_witness` runs the decision on one.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ __all__ = [
     "mvr_witness",
 ]
 
-SUBSET_GUARD = 24  # check_hnk may enumerate 2^|D| subsets; refuse beyond this
+SUBSET_GUARD = 2**15  # support unions plus die subsets one check_hnk may test
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,12 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(f for f in range(mask.bit_length()) if mask >> f & 1)
 
 
+def _count(count: int, what: str) -> None:
+    """Refuse :func:`check_hnk` past SUBSET_GUARD, read at each check."""
+    if count > SUBSET_GUARD:
+        raise SubsetLimitError(f"{count} {what}, over the guard {SUBSET_GUARD}")
+
+
 def check_hnk(spec: SourceSpec) -> tuple[bool, HnkCertificate | None]:
     """HNK via the closure of die-support unions.
 
@@ -231,15 +239,16 @@ def check_hnk(spec: SourceSpec) -> tuple[bool, HnkCertificate | None]:
     then lexicographically, with the faces it supports.  A failing
     subset S lies inside D(U(S)), has U(S) failing and |S| >= |U(S)|, so
     the walk visits only such subsets of the failing unions' dice.
+
+    The guard counts the unions as the closure grows, before any rank
+    test, then the subsets the walk tests, and names the count it passes.
     """
-    ndice = spec.num_dice
-    if ndice > SUBSET_GUARD:
-        raise SubsetLimitError(f"{ndice} dice exceed the {SUBSET_GUARD}-die subset guard")
     masks = [sum(1 << f for f in support(die)) for die in spec.dice]
     unions: set[int] = set()
     for m in masks:
         unions |= {m | u for u in unions}
         unions.add(m)
+        _count(len(unions), "support unions")
     inside = {u: tuple(d for d, m in enumerate(masks) if m & ~u == 0) for u in unions}
     failing = [
         u for u in unions
@@ -247,14 +256,17 @@ def check_hnk(spec: SourceSpec) -> tuple[bool, HnkCertificate | None]:
     ]
     if not failing:
         return True, None
+    tested = len(unions)
     # max(1, ...): a die with no positive entry has the empty union
-    for size in range(max(1, min(u.bit_count() for u in failing)), ndice + 1):
+    for size in range(max(1, min(u.bit_count() for u in failing)), spec.num_dice + 1):
         pools = [
             zip(combinations(inside[u], size), repeat(u))
             for u in failing
             if u.bit_count() <= size
         ]
         for subset, u in heapq.merge(*pools):
+            tested += 1
+            _count(tested, "support unions and die subsets tested")
             mask = 0
             for d in subset:
                 mask |= masks[d]
@@ -328,6 +340,7 @@ def mvr_witness(spec: SourceSpec, epsilon) -> Witness:
     eps^(3*2^|D| - 3) floor.  Verification failure raises
     EpsilonTooLargeError — the guarantee only kicks in for small epsilon,
     and the operational threshold is this verified-or-reject contract.
+    A source failing HNK raises NotHnkError; NK+ sources skip the check.
     """
     return _mvr_witness(spec, epsilon, None)
 
@@ -359,7 +372,7 @@ def _mvr_witness(spec: SourceSpec, epsilon, hnk: bool | None) -> Witness:
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if hnk is None:
-        hnk, _cert = check_hnk(spec)
+        hnk = check_nk_plus(spec)[0] or check_hnk(spec)[0]
     if not hnk:
         raise NotHnkError("source fails HNK; no ratio witness exists")
     values = _ratio_witness_values(
@@ -473,7 +486,8 @@ class ClassificationReport:
 
 
 def classify(spec: SourceSpec) -> ClassificationReport:
-    """Full classification: condition flags, witnesses, and the category."""
+    """Full classification: condition flags, witnesses, and the category.
+    An NK+ source holds HNK, so only other sources run :func:`check_hnk`."""
     basis = kernel_basis(spec).basis
     nk, nk_w = _nk(basis)
     plus, plus_w = _nk_plus(spec, basis)

@@ -15,10 +15,12 @@ produce byte-identical output files.
 
 The commands only load, compute and write; :func:`main` is the one place
 that maps their failures to exit codes.  Cost-guard refusals
-(``GuardError``) exit 65.  Parse and validation failures exit 64, and so
-do files that cannot be read or written (a source, strategy or table
-file, ``--out``, ``--transcript``) and strategy files that are not trees
-of objects with integer dice.  The message goes to stderr.
+(``GuardError``) exit 65.  Parse and validation failures exit 64, usage
+errors on the command line included (argparse would exit 2, a category's
+code), and so do files that cannot be read or written (a source,
+strategy or table file, ``--out``, ``--transcript``) and strategy files
+that are not trees of objects with integer dice.  The message goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -303,8 +305,17 @@ def cmd_bias(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise SpecFormatError, with
+    argparse's usage line and message, for :func:`main` to map to exit
+    64, instead of exiting 2, which is a category's code."""
+
+    def error(self, message: str):
+        raise SpecFormatError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsvkit",
         description="Classify generalized SV source types and run their extractors.",
     )
@@ -345,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; the one place that maps its failures to exit codes."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except GuardError as exc:
         print(exc, file=sys.stderr)

@@ -19,7 +19,8 @@ class StrategyError(GsvError):
 
 
 class SpecFormatError(GsvError):
-    """A source / strategy / extractor document could not be parsed."""
+    """A command line or a source / strategy / extractor document could
+    not be parsed."""
 
 
 class EmptySupportError(GsvError):
@@ -34,7 +35,8 @@ class GuardError(GsvError):
 
 
 class SubsetLimitError(GuardError):
-    """Too many dice for explicit subset enumeration (SUBSET_LIMIT)."""
+    """Deciding HNK would test more support unions and die subsets than
+    its guard allows (SUBSET_LIMIT)."""
 
     guard = "SUBSET_LIMIT"
 
@@ -47,8 +49,9 @@ class TreeLimitError(GuardError):
 
 
 class EnumLimitError(GuardError):
-    """Too many output sets for the worst-case multi-bit error, which runs
-    one backward induction per set (ENUM_LIMIT)."""
+    """The worst-case multi-bit error would sweep too many (depth, state)
+    pairs, once per output set, or has too many sets (ENUM_LIMIT);
+    callers fall back to a fixed strategy."""
 
     guard = "ENUM_LIMIT"
 

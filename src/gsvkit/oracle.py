@@ -13,8 +13,8 @@ strategies, how biased can a given extractor's output get?
 * :func:`exact_multibit_error` — worst-case total-variation distance
   from uniform for multi-bit outputs: the largest, over nonempty proper
   output sets S, of the best strategy's Pr[out in S] minus |S|/2^m,
-  one backward induction per S under an explicit guard on the number of
-  sets, with exact fixed-strategy evaluation as the fallback.
+  one backward induction per S, with exact fixed-strategy evaluation as
+  the fallback when the sets are too many.
 * :func:`greedy_plus_strategy` — the constructive adversary that turns a
   failure of the mean-variance ratio condition into extractor bias: at
   each node it picks a die whose mean gain on the conditional advantage
@@ -30,8 +30,11 @@ first reached within N - r steps for a bias sweep to N, which reads
 W_r(init) for every n <= N.  Worst-case and greedy strategies are
 policies: a die table per depth over the same states, expanded to the
 |F|^n tree only when walked or serialised, with the same bytes.  Nothing
-here recurses, tree serialisation included.  The cost guard counts the
-game-tree nodes a call visits, equal states once, as it goes.
+here recurses, tree serialisation included.  TREE_GUARD bounds each pass
+by the game-tree nodes it visits, equal states once, counted where it
+runs: states interned, a bias sweep's (state, steps left) pairs, a game's
+(depth, state) pairs (times the output sets for the multi-bit worst
+case), an output distribution's pairs and a report's written nodes.
 
 The engine computes in integers.  With Q the lcm of the dice
 denominators, a die is the integer row P_f = p_f * Q, a value with r
@@ -77,16 +80,15 @@ __all__ = [
 ]
 
 TREE_GUARD = 10**7  # game-tree nodes one call may visit; equal states count once
-DEFAULT_ENUM_GUARD = 10**6
 
 PM_ONE = "pm1"
 INDEX = "index"
 
 
-def _visit(count: int, what: str) -> None:
+def _visit(count: int, what: str, error: type = TreeLimitError) -> None:
     """Refuse a call past TREE_GUARD game-tree nodes, read at each check."""
     if count > TREE_GUARD:
-        raise TreeLimitError(f"{count} {what}, over the guard {TREE_GUARD}")
+        raise error(f"{count} {what}, over the guard {TREE_GUARD}")
 
 
 def _fold(init, step: Callable, finish: Callable, faces: tuple[int, ...]) -> int:
@@ -248,13 +250,8 @@ def _reach(ext: ExtractorTable, nfaces: int, depth: int) -> tuple[list, list[lis
     from it, for the states first reached within depth - 1 steps.  Each
     distinct state steps each face at most once.  The pass stops at the
     first depth that adds no state, so ``within`` may end before
-    ``depth``: every later depth reaches the same states.
-
-    The guard counts the states interned and, as they grow, the (state,
-    steps left) pairs a bias sweep to ``depth`` takes: the sum over
-    d < depth of within[min(d, D)], with D the last depth listed.  A game
-    of ``depth`` steps sweeps at most as many.  So a sweep too long for
-    the guard is refused before anything loops once per step.
+    ``depth``: every later depth reaches the same states.  The guard
+    counts the states interned; each caller counts its own sweep.
     """
     step = ext.step
     faces = range(nfaces)
@@ -262,17 +259,13 @@ def _reach(ext: ExtractorTable, nfaces: int, depth: int) -> tuple[list, list[lis
     states = [ext.init]
     kids: list[list[int]] = []
     within = [1]
-    swept = 0  # the pairs of the depths d < len(within) - 1
     while len(within) <= depth and len(kids) < len(states):
-        swept += within[-1]
-        _visit(swept, "(state, steps left) pairs to sweep")
         frontier = states[len(kids):]
         kids += [[index.setdefault(step(s, f), len(index)) for f in faces] for s in frontier]
         if len(index) > len(states):
             _visit(len(index), "game-tree states interned")
             states = list(index)
         within.append(len(states))
-    _visit(swept + (depth + 1 - len(within)) * len(states), "(state, steps left) pairs to sweep")
     return list(map(ext.finish, states)), kids, within
 
 
@@ -289,13 +282,23 @@ def _sweep(rows, kids, values: list[int], swept, pick):
             values[i] = value
 
 
-def _depths(kids, n: int) -> list[list[int]]:
-    """``depths[t]`` lists the indices of the states reachable in exactly
-    t steps, for t < n, read from the kids of :func:`_reach` with no step."""
-    depths = [[0]]
+def _game(spec: SourceSpec, ext: ExtractorTable):
+    """(Q, rows, outs, kids, depths) for a game of n = ``ext.n`` steps:
+    :func:`_die_rows`, :func:`_reach`, and ``depths[t]`` the indices of the
+    states reachable in exactly t steps, t < n, read from the kids.  A game
+    sweeps those (depth, state) pairs, at least one per depth, so n past
+    the guard is refused first; the guard then counts them as listed."""
+    n = ext.n
+    _visit(n, "game steps to sweep")
+    q, rows = _die_rows(spec)
+    outs, kids, _within = _reach(ext, spec.num_faces, n)
+    depths = [[0]][:n]
+    pairs = len(depths)
     while len(depths) < n:
         depths.append(list(set(chain.from_iterable(map(kids.__getitem__, depths[-1])))))
-    return depths[:n]
+        pairs += len(depths[-1])
+        _visit(pairs, "(depth, state) pairs to sweep")
+    return q, rows, outs, kids, depths
 
 
 def _die_table(here: list[int], picked) -> list[int | None]:
@@ -343,9 +346,7 @@ def exact_extremes(spec: SourceSpec, ext: ExtractorTable) -> BiasReport:
     if ext.output_kind != PM_ONE:
         raise ValueError("exact_extremes needs a +/-1 extractor")
     n = ext.n
-    q, rows = _die_rows(spec)
-    leaves, kids, _within = _reach(ext, spec.num_faces, n)
-    depths = _depths(kids, n)
+    q, rows, leaves, kids, depths = _game(spec, ext)
 
     def extreme(pick) -> tuple[Fraction, Strategy]:
         values, dies = leaves[:], []
@@ -368,8 +369,8 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
     ``ext.n`` itself is not read, and an explicit table answers only at
     its own n.  Every n is checked for n < 0 before any work is done
     (a ``range`` by its ends, so a huge one is not walked); the guard
-    then counts the distinct states the sweep interns and the (state,
-    steps left) pairs it would take, before any loop over n.
+    then counts the distinct states the forward pass interns, and next
+    the (state, steps left) pairs the sweep takes, before any loop over n.
 
     One forward pass to N = max(ns) and one max and one min sweep give
     W_n(init) / Q^n for every n <= N, and no strategy is built.
@@ -382,7 +383,8 @@ def exact_biases(spec: SourceSpec, ext: ExtractorTable, ns: Sequence[int]) -> li
     top = max(ends, default=0)
     q, rows = _die_rows(spec)
     leaves, kids, within = _reach(ext, spec.num_faces, top)
-    last = len(within) - 1
+    last = len(within) - 1  # <= top; the sweep takes sum_{d < top} within[min(d, last)] pairs
+    _visit(sum(within[:last]) + (top - last) * within[last], "(state, steps left) pairs to sweep")
 
     def roots(pick) -> list[int]:
         # roots(pick)[r] = W_r(init), a numerator over Q^r, from W_r over
@@ -501,26 +503,24 @@ def exact_multibit_error(
     Without: the exact worst case over all strategies.  The distance is
     the largest Pr[out in S] - |S|/2^m over output sets S, so the worst
     case is the largest, over nonempty proper S, of a max backward
-    induction on the leaf values 1[out in S], minus |S|/2^m.  Raises
-    EnumLimitError when the 2^(2^m) - 2 sets exceed DEFAULT_ENUM_GUARD;
+    induction on the leaf values 1[out in S], minus |S|/2^m.  When the
+    2^(2^m) - 2 sets (checked before the forward pass), times the (depth,
+    state) pairs of one sweep, pass TREE_GUARD it raises EnumLimitError;
     callers then fall back to fixed-strategy mode.
     """
     if ext.output_kind != INDEX:
         raise ValueError("exact_multibit_error needs an index-output extractor")
     if strategy is not None:
         return _tv_from_uniform(output_distribution(spec, strategy, ext), ext.out_size)
-    if (1 << ext.out_size) - 2 > DEFAULT_ENUM_GUARD:
-        raise EnumLimitError(
-            f"2^{ext.out_size} - 2 output sets exceed the guard {DEFAULT_ENUM_GUARD}"
-        )
-    q, rows = _die_rows(spec)
-    n = ext.n
-    outs, kids, _within = _reach(ext, spec.num_faces, n)
-    depths = _depths(kids, n)
-    scale = q**n
+    sets = (1 << ext.out_size) - 2
+    _visit(sets, "output sets to sweep", EnumLimitError)
+    q, rows, outs, kids, depths = _game(spec, ext)
+    what = f"(depth, state) pairs to sweep for {sets} output sets"
+    _visit(sets * sum(map(len, depths)), what, EnumLimitError)
+    scale = q**ext.n
     # Pr[out in S] - |S|/2^m as a numerator over 2^m * Q^n
     worst = 0
-    for s in range(1, (1 << ext.out_size) - 1):
+    for s in range(1, sets + 1):
         values = [s >> out & 1 for out in outs]
         for _step in _sweep(rows, kids, values, reversed(depths), max):
             pass
@@ -552,10 +552,8 @@ def greedy_plus_strategy(spec: SourceSpec, ext: ExtractorTable, epsilon) -> Stra
         raise ValueError("greedy_plus_strategy needs a +/-1 extractor")
     eps = rat(epsilon)
     e_num, e_den = eps.numerator, eps.denominator
-    n = ext.n
-    q, rows = _die_rows(spec)
+    q, rows, outs, kids, depths = _game(spec, ext)
     masses = [sum(p for _f, p in row) for row in rows]
-    outs, kids, _within = _reach(ext, spec.num_faces, n)
     values = [1 if out == 1 else 0 for out in outs]
 
     def gain_die(a: int, kid_adv: list[int], m1s: tuple[int, ...], scale: int) -> int | None:
@@ -571,7 +569,7 @@ def greedy_plus_strategy(spec: SourceSpec, ext: ExtractorTable, epsilon) -> Stra
     dies = []
     failing = False
     scale = 1  # Q^(r-1) at r steps left
-    for here, adv, sums in _sweep(rows, kids, values, reversed(_depths(kids, n)), min):
+    for here, adv, sums in _sweep(rows, kids, values, reversed(depths), min):
         picked = [gain_die(a, list(map(values.__getitem__, kids[i])), m1s, scale)
                   for i, a, m1s in zip(here, adv, zip(*sums))]
         failing = failing or None in picked

@@ -261,10 +261,72 @@ def test_hnk_cost_is_bounded_by_support_unions(monkeypatch):
     assert 0 < len(calls) <= 7
 
 
-def test_hnk_subset_guard():
-    dice = [[F(1, 2), F(1, 2)]] * 25
-    with pytest.raises(SubsetLimitError):
-        check_hnk(SourceSpec(("a", "b"), dice))
+def _point_masses(k: int) -> SourceSpec:
+    """k dice, each putting all its mass on its own face: 2^k - 1 support
+    unions, every one failing."""
+    return SourceSpec(tuple(f"f{i}" for i in range(k)),
+                      [[int(f == d) for f in range(k)] for d in range(k)])
+
+
+def test_hnk_subset_guard(monkeypatch):
+    # the guard counts the support unions as the closure grows, before any
+    # rank test, then the die subsets the certificate walk tests, and names
+    # the count next to the limit
+    def no_rank_test(*_args):
+        raise AssertionError("rank test run past the guard")
+
+    spec = _point_masses(4)  # 15 unions, and the walk tests one subset
+    monkeypatch.setattr(linalg, "nullspace", no_rank_test)
+    monkeypatch.setattr(classify_module, "SUBSET_GUARD", 14)
+    with pytest.raises(SubsetLimitError, match="^15 support unions, over the guard 14$"):
+        check_hnk(spec)
+    monkeypatch.undo()
+    monkeypatch.setattr(classify_module, "SUBSET_GUARD", 15)
+    with pytest.raises(SubsetLimitError,
+                       match="^16 support unions and die subsets tested, over the guard 15$"):
+        check_hnk(spec)
+    monkeypatch.setattr(classify_module, "SUBSET_GUARD", 16)
+    assert check_hnk(spec) == (False, HnkCertificate((0,), (0,)))
+    monkeypatch.undo()
+    # at the shipped guard: 16 point masses are refused at once
+    monkeypatch.setattr(linalg, "nullspace", no_rank_test)
+    with pytest.raises(SubsetLimitError, match="^65535 support unions, over the guard 32768$"):
+        check_hnk(_point_masses(16))
+
+
+def test_hnk_guard_counts_unions_not_dice():
+    # 25 fair coins have one support union: HNK holds, and the ratio
+    # witness, which skips the decision on an NK+ source, is the fair coin's
+    coins = SourceSpec(("a", "b"), [[F(1, 2), F(1, 2)]] * 25)
+    assert check_hnk(coins) == (True, None)
+    assert mvr_witness(coins, F(1, 100)) == mvr_witness(fair_coin(), F(1, 100))
+
+
+def test_mvr_witness_decides_hnk_only_off_nk_plus(monkeypatch):
+    # called on its own, mvr_witness runs check_hnk only when NK+ fails,
+    # and gives the witness (or the error) it gives on HNK's verdict
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return check_hnk(spec)
+
+    rng = Random(41)
+    specs = [random_zero_mean_spec(rng, rng.randint(2, 4), rng.randint(1, 4))[0] for _ in range(8)]
+    specs += [random_spec(rng, rng.randint(2, 4), rng.randint(1, 4)) for _ in range(8)]
+    specs += [random_hierarchical_spec(rng) for _ in range(4)] + [e1(), e2(), fair_coin(), SV]
+    monkeypatch.setattr(classify_module, "check_hnk", counted)
+    for spec in specs:
+        calls.clear()
+        outcomes = []
+        for run in (lambda: mvr_witness(spec, F(1, 8)),
+                    lambda: classify_module._mvr_witness(spec, F(1, 8), check_hnk(spec)[0])):
+            try:
+                outcomes.append(run())
+            except (NotHnkError, EpsilonTooLargeError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert len(calls) == (0 if check_nk_plus(spec)[0] else 1)
 
 
 # -- ratio and divergence conditions --------------------------------------

@@ -262,14 +262,17 @@ def test_extract_rejects_malformed_strategy_files(tmp_path, capsys, source, n, t
 
 
 def test_extract_subset_guard_exits_65(tmp_path, capsys):
-    # 25 distinct two-face dice: no nonzero kernel, so not NK+, and HNK
-    # would enumerate their subsets
+    # 16 point-mass dice: no nonzero kernel, so not NK+, and HNK would test
+    # 2^16 - 1 support unions; classify and extract refuse as the closure
+    # grows, before any rank test
     source = tmp_path / "wide.json"
-    dice = [[f"{k}/50", f"{50 - k}/50"] for k in range(1, 26)]
-    source.write_text(json.dumps({"faces": ["a", "b"], "dice": dice}))
-    assert run("extract", "--source", str(source)) == 65
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "25 dice exceed the 24-die subset guard\n")
+    dice = [[int(f == d) for f in range(16)] for d in range(16)]
+    source.write_text(json.dumps({"faces": [f"f{i}" for i in range(16)], "dice": dice}))
+    for command in ("classify", "extract"):
+        assert run(command, "--source", str(source)) == 65
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "65535 support unions, over the guard 32768\n")
 
 
 def test_classify_an_nk_plus_source_past_the_subset_guard(tmp_path, capsys):
@@ -326,6 +329,69 @@ def test_bias_with_extractor_table_file(tmp_path):
     assert run("bias", "--source", "sv:1/4", "--extractor", str(table),
                "--out", str(out)) == 0
     assert out.read_text().splitlines()[1] == "2,1"
+
+
+_FAST = ("extract", "--source", "fair-coin", "--extractor", "multibit-fast")
+_WALK = ("extract", "--source", "e2", "--extractor", "threshold")
+
+
+@pytest.mark.parametrize("argv, code", [
+    # numbers
+    (("extract", "--source", "e2", "--n", "-1"), 64),
+    ((*_FAST, "--m", "0"), 64),
+    ((*_FAST, "--m", "-3"), 64),
+    (("extract", "--source", "fair-coin", "--seed", "-1"), 64),
+    (("extract", "--source", "fair-coin", "--seed", "1.5"), 64),
+    ((*_WALK, "--epsilon", "0"), 64),
+    ((*_WALK, "--epsilon", "2"), 64),
+    ((*_WALK, "--epsilon", "abc"), 64),
+    ((*_WALK, "--epsilon", "1/0"), 64),
+    (("bias", "--source", "e2", "--extractor", "threshold", "--epsilon", "-1/2"), 64),
+    (("extract", "--source", "e2", "--n", "abc"), 64),
+    # strategies
+    (("extract", "--source", "fair-coin", "--strategy", "constant:x"), 64),
+    (("extract", "--source", "fair-coin", "--strategy", "constant:-1"), 64),
+    (("extract", "--source", "fair-coin", "--strategy", "constant:99999999999999999999"), 64),
+    # sources
+    (("classify", "--source", "sv:2"), 64),
+    (("classify", "--source", "sv:abc"), 64),
+    (("classify", "--source", "{non_utf8}"), 64),
+    # ranges
+    (("bias", "--source", "e2", "--n", "5..3"), 64),
+    (("bias", "--source", "e2", "--n", "a..b"), 64),
+    (("bias", "--source", "e2", "--n", ""), 64),
+    (("bias", "--source", "e2", "--n", "1,,2"), 64),
+    # other
+    (("classify", "--source", "e2", "--out", "{missing}"), 64),
+    (("classify",), 64),
+    (("classify", "--source", "e2", "--bogus"), 64),
+    (("frobnicate", "--source", "e2"), 64),
+    (("bias", "--source", "e2", "--n", "2", "--m", "3"), 64),
+    ((*_FAST, "--m", "63"), 65),
+])
+def test_bad_input_exits_with_its_documented_code(tmp_path, capsys, argv, code):
+    # usage errors exit 64 like any parse failure, not argparse's 2, which
+    # classify uses for NON_EXTRACTABLE; nothing reaches stdout and no
+    # traceback reaches stderr
+    non_utf8 = tmp_path / "source.json"
+    non_utf8.write_bytes(b'{"faces": ["\xff\xfe"], "dice": [["1"]]}')
+    paths = {"non_utf8": non_utf8, "missing": tmp_path / "missing" / "x"}
+    assert run(*[arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err and "Traceback" not in captured.err
+
+
+def test_usage_errors_keep_argparse_text_and_help_exits_0(capsys):
+    assert run("classify") == 64
+    assert capsys.readouterr() == ("", "usage: gsvkit classify [-h] --source SOURCE [--out OUT]\n"
+                                       "gsvkit classify: error: the following arguments are "
+                                       "required: --source\n")
+    with pytest.raises(SystemExit) as done:
+        run("--help")
+    assert done.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: gsvkit") and captured.err == ""
 
 
 def test_bias_table_file_of_the_wrong_size_exits_64_without_forming_the_power(tmp_path, capsys):
@@ -461,6 +527,17 @@ def test_bias_refuses_a_huge_n_before_looping_over_it(capsys, n, count):
                "--n", n) == 65
     assert capsys.readouterr() == (
         "", f"{count} (state, steps left) pairs to sweep, over the guard 10000000\n")
+
+
+def test_worst_case_refuses_a_huge_n_before_any_pass(capsys):
+    # a game sweeps at least one state per step, so n past the guard is
+    # refused before the forward pass
+    t0 = time.perf_counter()
+    assert run("extract", "--source", "e2", "--extractor", "threshold", "--epsilon", "1/2",
+               "--strategy", "worst-case", "--n", "1000000000000") == 65
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr() == (
+        "", "1000000000000 game steps to sweep, over the guard 10000000\n")
 
 
 @pytest.mark.parametrize("argv, what", [

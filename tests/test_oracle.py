@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import time
 from fractions import Fraction as F
 from functools import partial, reduce
 from itertools import product
@@ -118,33 +119,43 @@ def test_tree_guard_counts_the_nodes_each_pass_visits(monkeypatch):
     psi = Witness([1, -1, F(1, 2), F(-1, 2)], "NK")
     walk = ExtractorTable.for_threshold(psi, F(1, 2), 10)  # freezes once |2z| >= 4
     bits = ExtractorTable.for_bit_exp(PM, 6)
+    interned, game = "game-tree states interned", "(depth, state) pairs to sweep"
     swept, pairs = "(state, steps left) pairs to sweep", "game-tree states reached"
     greedy = greedy_plus_strategy(SV, bits, "1/8")
     cases = [
-        # one sweep across depths: on e2, 11 states and 92 (state, steps
-        # left) pairs; the damped walk's and the multi-bit table's states
-        # never recur, so a sweep takes each of them once per r it is
-        # within reach of
-        (lambda: exact_extremes(e2(), walk), 92, swept),
-        (lambda: exact_biases(e2(), walk, [10, 3]), 92, swept),
-        (lambda: greedy_plus_strategy(SV, bits, "1/8"), 86, swept),
-        (lambda: exact_multibit_error(SV, ExtractorTable.for_multibit(PM, 4, 1)), 24, swept),
+        # a game sweeps the states at each exact depth: on e2, 11 states
+        # and 91 (depth, state) pairs at depths < 10, while a bias sweep
+        # to 10 takes 92 (state, steps left) pairs, each state once per r
+        # it is within reach of
+        (lambda: exact_extremes(e2(), walk), 91, game, TreeLimitError),
+        (lambda: exact_biases(e2(), walk, [10, 3]), 92, swept, TreeLimitError),
+        # the damped walk interns 63 states to depth 6 but sweeps only 39
+        # (depth, state) pairs at depths < 6
+        (lambda: greedy_plus_strategy(SV, bits, "1/8"), 63, interned, TreeLimitError),
+        # the multi-bit worst case sweeps every (depth, state) pair once per
+        # output set: 2 sets of 13 pairs, 14 sets of 3 pairs
+        (lambda: exact_multibit_error(SV, ExtractorTable.for_multibit(PM, 4, 1)), 26,
+         f"{game} for 2 output sets", EnumLimitError),
+        (lambda: exact_multibit_error(SV, ExtractorTable.for_multibit(PM, 2, 2)), 42,
+         f"{game} for 14 output sets", EnumLimitError),
         # (strategy state, table state) pairs: one strategy state, the
         # greedy policy's 63 distinct (depth, state) pairs, and a callback's
         # histories, 2^t at depth t < 6 and 24 table states at depth 6
-        (lambda: output_distribution(e2(), Strategy.constant(1), walk), 102, pairs),
-        (lambda: output_distribution(SV, greedy, bits), 63, pairs),
-        (lambda: output_distribution(SV, Strategy(lambda h: len(h) % 2), bits), 87, pairs),
+        (lambda: output_distribution(e2(), Strategy.constant(1), walk), 102, pairs,
+         TreeLimitError),
+        (lambda: output_distribution(SV, greedy, bits), 63, pairs, TreeLimitError),
+        (lambda: output_distribution(SV, Strategy(lambda h: len(h) % 2), bits), 87, pairs,
+         TreeLimitError),
     ]
-    for call, count, what in cases:
+    for call, count, what, error in cases:
         monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", count - 1)
         message = f"^{count} {re.escape(what)}, over the guard {count - 1}$"
-        with pytest.raises(TreeLimitError, match=message):
+        with pytest.raises(error, match=message):
             call()
         monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", count)
         call()
-    # a one-state table: the oracle sweeps 60 (state, steps left) pairs,
-    # but the trees it writes out are the full 4^60 ones
+    # a one-state table: the oracle sweeps 60 (depth, state) pairs, one
+    # per step, but the trees it writes out are the full 4^60 ones
     monkeypatch.setattr(gsvkit.oracle, "TREE_GUARD", 61)
     report = exact_extremes(e2(), ExtractorTable.constant(60, 1))
     assert report.bias == 1
@@ -923,14 +934,26 @@ def test_e1_worst_tv_dominates_fixed_strategies():
         assert worst == 1 - F(1, 2**m)
 
 
-def test_enum_guard_raises_and_fixed_mode_works():
+def test_enum_guard_raises_and_fixed_mode_works(monkeypatch):
+    # 2^32 - 2 output sets are refused before the forward pass; fixed
+    # strategies still evaluate
     wit = Witness([-1, 1, 0, 0], "NK")
     table = ExtractorTable.for_multibit(wit, 2, 5)
+    monkeypatch.setattr(gsvkit.oracle, "_reach", None)
     with pytest.raises(EnumLimitError) as got:
         exact_multibit_error(e1(), table)
-    assert str(got.value) == "2^32 - 2 output sets exceed the guard 1000000"
+    assert str(got.value) == "4294967294 output sets to sweep, over the guard 10000000"
+    monkeypatch.undo()
     tv = exact_multibit_error(e1(), table, strategy=Strategy.constant(0))
     assert 0 <= tv <= 1
+    # 65,534 sets within the guard, but 16,159 (depth, state) pairs per
+    # set: refused after the forward pass, before any set is swept
+    table = ExtractorTable.for_multibit(PM, 14, 4)
+    t0 = time.perf_counter()
+    with pytest.raises(EnumLimitError, match="^1058963906 \\(depth, state\\) pairs to sweep "
+                                             "for 65534 output sets, over the guard 10000000$"):
+        exact_multibit_error(SV, table)
+    assert time.perf_counter() - t0 < 5
 
 
 def _worst_tv_by_enumeration(spec, ext):
